@@ -107,6 +107,11 @@ class SiteArray:
         return len(self.sites)
 
 
+def _check_k(k: float) -> None:
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError("k must be positive")
+
+
 @dataclass(frozen=True)
 class IncidentWave:
     """Incident wave: wavenumber, mode, and unit channel amplitudes.
@@ -121,8 +126,7 @@ class IncidentWave:
     amplitudes: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError("k must be positive")
+        _check_k(self.k)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         amps = self.amplitudes
@@ -167,84 +171,74 @@ class ScatteringSolution:
         return self.coefficients_a[-1]
 
 
-def assemble_system(sites: SiteArray, incident: IncidentWave
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Build the dense linear system for the segment coefficients.
+def assemble_system(sites: SiteArray, k: float) -> np.ndarray:
+    """Build the dense matrix of the matching conditions at wavenumber k.
 
     Unknown layout: [A_0, B_0, A_1, B_1, ..., A_m, B_m], each block an
     n-vector.  The first 2n rows pin the incoming amplitudes A_0 and
-    B_m; the remaining rows are the two matching conditions per site.
+    B_m; the remaining rows are the two matching conditions per site,
+    which touch only the columns [A_t, B_t, A_t+1, B_t+1] of site t.
     """
     n = sites.n
     m = len(sites)
-    k = incident.k
-    if incident.amplitudes.size != n:
-        raise ValueError("incident amplitude dimension does not match "
-                         "the site array channel count")
     dim = 2 * n * (m + 1)
     mat = np.zeros((dim, dim), dtype=complex)
-    rhs = np.zeros(dim, dtype=complex)
     eye = np.eye(n)
+    mat[0:n, 0:n] = eye
+    mat[n:2 * n, dim - n:] = eye
 
-    def a_block(seg):
-        return slice(2 * n * seg, 2 * n * seg + n)
+    pos = np.array([p for p, _ in sites.sites])
+    c1, c2, c3 = (np.reshape([getattr(c, name) for _, c in sites.sites],
+                             (m, n, n)) for name in ("c1", "c2", "c3"))
+    ep = np.exp(1j * k * pos)[:, None, None]
+    em = np.exp(-1j * k * pos)[:, None, None]
+    ikp = 1j * k * ep
+    ikm = -1j * k * em
+    halves = []
+    for sign in (-1.0, +1.0):  # segment t (left), then t+1 (right)
+        # Delta psi + C2 psi_bar + C3 psi_bar' = 0
+        val = [sign * ep * eye + 0.5 * ep * c2 + 0.5 * ikp * c3,
+               sign * em * eye + 0.5 * em * c2 + 0.5 * ikm * c3]
+        # Delta psi' - C1 psi_bar - C2 psi_bar' = 0
+        der = [sign * ikp * eye - 0.5 * ep * c1 - 0.5 * ikp * c2,
+               sign * ikm * eye - 0.5 * em * c1 - 0.5 * ikm * c2]
+        halves.append(np.block([val, der]))
+    blocks = np.concatenate(halves, axis=2)  # (m, 2n, 4n)
+    rows = 2 * n * np.arange(1, m + 1)[:, None] + np.arange(2 * n)
+    cols = 2 * n * np.arange(m)[:, None] + np.arange(4 * n)
+    # added into zeros, not assigned, so no entry is a negative zero
+    mat[rows[:, :, None], cols[:, None, :]] += blocks
+    return mat
 
-    def b_block(seg):
-        return slice(2 * n * seg + n, 2 * n * seg + 2 * n)
 
-    a_in, b_in = incident.endpoint_amplitudes()
-    mat[0:n, a_block(0)] = eye
-    rhs[0:n] = a_in
-    mat[n:2 * n, b_block(m)] = eye
-    rhs[n:2 * n] = b_in
-
-    row = 2 * n
-    for t, (pos, coup) in enumerate(sites.sites):
-        ep = np.exp(1j * k * pos)
-        em = np.exp(-1j * k * pos)
-        # the site couples segment t (left) and segment t+1 (right)
-        val_rows = slice(row, row + n)
-        der_rows = slice(row + n, row + 2 * n)
-        ikp = 1j * k * ep
-        ikm = -1j * k * em
-        c1, c2, c3 = coup.c1, coup.c2, coup.c3
-        for seg, sign in ((t + 1, +1.0), (t, -1.0)):
-            # Delta psi + C2 psi_bar + C3 psi_bar' = 0
-            mat[val_rows, a_block(seg)] += (sign * ep * eye
-                                            + 0.5 * ep * c2
-                                            + 0.5 * ikp * c3)
-            mat[val_rows, b_block(seg)] += (sign * em * eye
-                                            + 0.5 * em * c2
-                                            + 0.5 * ikm * c3)
-            # Delta psi' - C1 psi_bar - C2 psi_bar' = 0
-            mat[der_rows, a_block(seg)] += (sign * ikp * eye
-                                            - 0.5 * ep * c1
-                                            - 0.5 * ikp * c2)
-            mat[der_rows, b_block(seg)] += (sign * ikm * eye
-                                            - 0.5 * em * c1
-                                            - 0.5 * ikm * c2)
-        row += 2 * n
-    return mat, rhs
+def _solve(sites: SiteArray, k: float, pin_rhs: np.ndarray) -> np.ndarray:
+    """Segment coefficients for the incoming [A_0; B_m] in pin_rhs, one
+    2n-vector or a column per incident wave, from one guarded solve."""
+    mat = assemble_system(sites, k)
+    if np.linalg.cond(mat) > _CONDITION_LIMIT:
+        raise SingularSystem(f"condition number above {_CONDITION_LIMIT:g} "
+                             f"at k = {k}")
+    rhs = np.zeros((mat.shape[0],) + pin_rhs.shape[1:], dtype=complex)
+    rhs[:pin_rhs.shape[0]] = pin_rhs
+    return np.linalg.solve(mat, rhs)
 
 
 def solve_scattering(sites: SiteArray, incident: IncidentWave
                      ) -> ScatteringSolution:
-    """Solve the assembled system and report outgoing amplitudes.
+    """Solve the matching system and report outgoing amplitudes.
 
     Raises SingularSystem when the system's condition number exceeds
     1e12, which signals k at or near a resonance pole of the array.
     """
     n = sites.n
     m = len(sites)
-    mat, rhs = assemble_system(sites, incident)
-    if np.linalg.cond(mat) > _CONDITION_LIMIT:
-        raise SingularSystem(f"condition number above {_CONDITION_LIMIT:g} "
-                             f"at k = {incident.k}")
-    sol = np.linalg.solve(mat, rhs)
-    coeff_a = tuple(sol[2 * n * s: 2 * n * s + n] for s in range(m + 1))
-    coeff_b = tuple(sol[2 * n * s + n: 2 * n * s + 2 * n]
-                    for s in range(m + 1))
+    if incident.amplitudes.size != n:
+        raise ValueError("incident amplitude dimension does not match "
+                         "the site array channel count")
     a_in, b_in = incident.endpoint_amplitudes()
+    sol = _solve(sites, incident.k, np.concatenate([a_in, b_in]))
+    segments = sol.reshape(m + 1, 2, n)
+    coeff_a, coeff_b = tuple(segments[:, 0]), tuple(segments[:, 1])
     flux_in = float(np.sum(np.abs(a_in) ** 2 + np.abs(b_in) ** 2))
     out_left = coeff_b[0]
     out_right = coeff_a[-1]
@@ -264,18 +258,13 @@ def full_s_matrix(sites: SiteArray, k: float) -> np.ndarray:
 
     Basis order (channel 1 +, ..., channel n +, channel 1 -, ...,
     channel n -), where + waves travel rightward.  Entry [out, in].
+    The incident columns are the pins A_0 = e_j and B_m = e_j; the
+    outgoing waves are A_m and B_0.
     """
+    _check_k(k)
     n = sites.n
-    s = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j in range(n):
-        amps = np.zeros(n, dtype=complex)
-        amps[j] = 1.0
-        for col, mode in ((j, "left"), (n + j, "right")):
-            sol = solve_scattering(sites,
-                                   IncidentWave(k, mode, amps))
-            s[:n, col] = sol.outgoing_right
-            s[n:, col] = sol.outgoing_left
-    return s
+    sol = _solve(sites, k, np.eye(2 * n))
+    return np.concatenate([sol[-2 * n:-n], sol[n:2 * n]])
 
 
 def parity_blocks(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

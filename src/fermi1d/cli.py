@@ -312,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON config document")
         p.add_argument("--format", choices=("json", "csv"),
                        default="json")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized protocol noise")
+        if name == "memory":
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for randomized protocol noise")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
     return parser

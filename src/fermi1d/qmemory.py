@@ -262,9 +262,7 @@ def estimator_phase(op: ScatterOp, g1: float, g3: float) -> float:
     With this phase the estimator returns A1 for an odd interrogation
     and A2 for an even one.
     """
-    if op.parity == "odd":
-        return -2.0 * math.atan(g3 * op.k / 2.0)
-    return -2.0 * math.atan(g1 / (2.0 * op.k))
+    return -op_angle(op, g1, g3)
 
 
 def observe(state: MemoryState, which: str,
@@ -359,6 +357,24 @@ def _candidate_states(obs: Observables, s: MemoryState,
     return candidates
 
 
+def _closest_candidate(obs: Observables, s: MemoryState, tol: float
+                       ) -> tuple[MemoryState, float]:
+    """reconstruct_state's choice and its A4 mismatch, unchecked."""
+    if abs(s.a1) < 1e-12 or abs(s.a2) < 1e-12:
+        raise ValueError("the standard state needs both components "
+                         "nonzero")
+    candidates = _candidate_states(obs, s, tol)
+    if not candidates:
+        raise Inconsistent("no unit state matches the observables")
+    if obs.A4 is None:
+        if len(candidates) == 1:
+            return candidates[0], 0.0
+        raise Ambiguous(candidates)
+    mismatches = [abs(_predict(c, s)[3] - obs.A4) for c in candidates]
+    best = int(np.argmin(mismatches))
+    return candidates[best], mismatches[best]
+
+
 def reconstruct_state(obs: Observables, s: MemoryState,
                       tol: float = 1e-6) -> MemoryState:
     """Invert the observables into a memory state.
@@ -369,21 +385,10 @@ def reconstruct_state(obs: Observables, s: MemoryState,
     matching it best (unique for exact data); otherwise all matching
     candidates are reported through the Ambiguous error.
     """
-    if abs(s.a1) < 1e-12 or abs(s.a2) < 1e-12:
-        raise ValueError("the standard state needs both components "
-                         "nonzero")
-    candidates = _candidate_states(obs, s, tol)
-    if not candidates:
-        raise Inconsistent("no unit state matches the observables")
-    if obs.A4 is None:
-        if len(candidates) == 1:
-            return candidates[0]
-        raise Ambiguous(candidates)
-    mismatches = [abs(_predict(c, s)[3] - obs.A4) for c in candidates]
-    best = int(np.argmin(mismatches))
-    if mismatches[best] > tol:
+    state, mismatch = _closest_candidate(obs, s, tol)
+    if mismatch > tol:
         raise Inconsistent("no candidate reproduces A4 within tolerance")
-    return candidates[best]
+    return state
 
 
 def _su2_completion(source: MemoryState, target: MemoryState
@@ -509,10 +514,15 @@ def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,
     a2_est = min(max(a2_est, -cap), cap)
     obs = Observables(a1_est, a2_est, a3, a4)
     recon_tol = max(1e-6, 50.0 * noise_sigma)
-    recovered = reconstruct_state(obs, s, tol=recon_tol)
     if noise_sigma > 0.0:
-        recovered = _polish(recovered, obs, s)
-    return obs, recovered, cur
+        # Noise in A1/A2 moves the candidates off A4; the tolerance
+        # applies once the polish has fitted the noiseless A3/A4.
+        recovered = _polish(_closest_candidate(obs, s, recon_tol)[0], obs, s)
+        miss = np.max(np.abs(_predict(recovered, s)[2:] - [obs.A3, obs.A4]))
+        if miss > recon_tol:
+            raise Inconsistent(f"polished state misses A3/A4 by {miss:g}")
+        return obs, recovered, cur
+    return obs, reconstruct_state(obs, s, tol=recon_tol), cur
 
 
 def admissibility_check(alpha: complex, beta: complex, k: float,

@@ -45,10 +45,6 @@ class ResidualReport:
         return self.max_residual <= self.tolerance
 
 
-def _sector(quad_val: ResolventQuad, sx: int, sxp: int) -> float:
-    return quad_sector(quad_val, sx, sxp)
-
-
 def resolvent_residual_closed(provider, kappa1: float, kappa2: float
                               ) -> np.ndarray:
     """Residuals of the algebraic resolvent identity in all four sign
@@ -66,12 +62,12 @@ def resolvent_residual_closed(provider, kappa1: float, kappa2: float
     dp = kappa1 + kappa2
     out = np.empty(4)
     for idx, (sx, sxp) in enumerate(((1, 1), (-1, 1), (-1, -1), (1, -1))):
-        val = (_sector(q1, sx, sxp) / dm
-               + _sector(q1, sx, -sxp) / dp
-               - _sector(q2, sx, sxp) / dm
-               + _sector(q2, -sx, sxp) / dp
-               - (_sector(q1, sx, -1) * _sector(q2, -1, sxp)
-                  + _sector(q1, sx, 1) * _sector(q2, 1, sxp)) / dp)
+        val = (quad_sector(q1, sx, sxp) / dm
+               + quad_sector(q1, sx, -sxp) / dp
+               - quad_sector(q2, sx, sxp) / dm
+               + quad_sector(q2, -sx, sxp) / dp
+               - (quad_sector(q1, sx, -1) * quad_sector(q2, -1, sxp)
+                  + quad_sector(q1, sx, 1) * quad_sector(q2, 1, sxp)) / dp)
         out[idx] = abs(val)
     return out
 

@@ -9,6 +9,16 @@ def scalar_site(g1=0.0, g2=0.0, g3=0.0, position=0.0):
     return (position, MatrixCouplings.from_scalars(g1, g2, g3))
 
 
+def complex_hermitian_array(rng, m, n):
+    """m sites of n x n couplings with imaginary off-diagonal parts."""
+    def herm():
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return (a + a.conj().T) / 2.0
+    positions = np.cumsum(rng.uniform(0.2, 1.5, m))
+    return SiteArray([(x, MatrixCouplings(herm(), herm(), herm()))
+                      for x in positions])
+
+
 class TestTypes:
     def test_couplings_must_be_hermitian(self):
         with pytest.raises(ValueError):
@@ -32,6 +42,12 @@ class TestTypes:
             IncidentWave(1.0, "sideways")
         with pytest.raises(ValueError):
             IncidentWave(1.0, "left", np.array([1.0, 1.0]))
+
+    def test_full_s_matrix_rejects_bad_k(self):
+        arr = SiteArray([scalar_site(1.0)])
+        for k in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                channels.full_s_matrix(arr, k)
 
 
 class TestSingleSite:
@@ -77,6 +93,24 @@ class TestMultiSite:
                          scalar_site(-0.7, 0.0, 1.1, position=1.3)])
         s = channels.full_s_matrix(arr, 0.9)
         np.testing.assert_allclose(s @ s.conj().T, np.eye(2), atol=1e-12)
+
+    def test_complex_hermitian_columns_match_single_solves(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 3):
+            arr = complex_hermitian_array(rng, 5, n)
+            k = 1.3
+            s = channels.full_s_matrix(arr, k)
+            np.testing.assert_allclose(s @ s.conj().T, np.eye(2 * n),
+                                       atol=1e-12)
+            for j in range(n):
+                unit = np.eye(n)[j]
+                for col, mode in ((j, "left"), (n + j, "right")):
+                    sol = channels.solve_scattering(
+                        arr, IncidentWave(k, mode, unit))
+                    np.testing.assert_allclose(
+                        s[:n, col], sol.outgoing_right, atol=1e-13)
+                    np.testing.assert_allclose(
+                        s[n:, col], sol.outgoing_left, atol=1e-13)
 
 
 class TestTwoChannels:

@@ -153,6 +153,14 @@ class TestMemory:
         code, _ = run(capsys, ["memory", "--config", cfg])
         assert code == 2
 
+    def test_seed_belongs_to_memory_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1,
+                                      "couplings": [1, 0, 0],
+                                      "kappa_grid": [1.0]})
+        with pytest.raises(SystemExit) as exc:
+            main(["resolvent", "--config", cfg, "--seed", "1"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_quick_suite_exits_zero(self, tmp_path, capsys):

@@ -191,6 +191,19 @@ class TestProtocol:
                                                noise_sigma=1e-4, rng=rng)
             assert recovered.distance_up_to_phase(state) < 1e-3
 
+    def test_noisy_read_polishes_before_tolerance(self):
+        # The closest candidate misses A4 by more than the tolerance;
+        # the polished state meets it.
+        rng = np.random.default_rng(1067)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        state = qm.MemoryState.from_vec(v / np.linalg.norm(v))
+        obs, recovered, _ = qm.read_protocol(
+            state, qm.STANDARD_STATE, 2.0, 2.0, noise_sigma=1e-4, rng=rng)
+        assert recovered.distance_up_to_phase(state) < 1e-3
+        predicted = qm._predict(recovered, qm.STANDARD_STATE)
+        assert abs(predicted[2] - obs.A3) < 1e-9
+        assert abs(predicted[3] - obs.A4) < 1e-9
+
     def test_needs_both_couplings(self):
         with pytest.raises(ZeroCoupling):
             qm.read_protocol(qm.STANDARD_STATE, qm.STANDARD_STATE,
