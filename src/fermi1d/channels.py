@@ -16,8 +16,9 @@ and at each site the pairing rules give the matching conditions
 closed forms; the opposite choice is its mirror image).
 
 where psi_bar and psi_bar' are the means of the one-sided values and
-(regularized) one-sided derivatives.  This module assembles and solves
-that system and builds the full 2n x 2n S-matrix.
+(regularized) one-sided derivatives.  This module assembles that system
+in band storage, solves it with one banded LU factorisation per
+wavenumber, and builds the full 2n x 2n S-matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
 from .errors import SingularSystem
+from .pointcore import check_k
 
 __all__ = [
     "MatrixCouplings",
@@ -49,6 +52,8 @@ def _as_hermitian(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     if np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise ValueError(f"{name} must be hermitian")
     return m
@@ -89,6 +94,8 @@ class SiteArray:
     def __init__(self, sites):
         sites = tuple((float(pos), c) for pos, c in sites)
         positions = [pos for pos, _ in sites]
+        if not all(map(math.isfinite, positions)):
+            raise ValueError("site positions must be finite")
         for left, right in zip(positions, positions[1:]):
             if right - left < _MIN_SEPARATION:
                 raise ValueError("site positions must be strictly "
@@ -107,11 +114,6 @@ class SiteArray:
         return len(self.sites)
 
 
-def _check_k(k: float) -> None:
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("k must be positive")
-
-
 @dataclass(frozen=True)
 class IncidentWave:
     """Incident wave: wavenumber, mode, and unit channel amplitudes.
@@ -126,7 +128,7 @@ class IncidentWave:
     amplitudes: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        _check_k(self.k)
+        check_k(self.k)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         amps = self.amplitudes
@@ -134,7 +136,7 @@ class IncidentWave:
             amps = np.array([1.0 + 0.0j])
         amps = np.asarray(amps, dtype=complex).ravel()
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if not np.all(np.isfinite(amps)) or abs(norm - 1.0) > 1e-9:
             raise ValueError("channel amplitudes must have unit norm")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -172,21 +174,26 @@ class ScatteringSolution:
 
 
 def assemble_system(sites: SiteArray, k: float) -> np.ndarray:
-    """Build the dense matrix of the matching conditions at wavenumber k.
+    """The matching conditions at wavenumber k in LAPACK band storage.
 
     Unknown layout: [A_0, B_0, A_1, B_1, ..., A_m, B_m], each block an
-    n-vector.  The first 2n rows pin the incoming amplitudes A_0 and
-    B_m; the remaining rows are the two matching conditions per site,
-    which touch only the columns [A_t, B_t, A_t+1, B_t+1] of site t.
+    n-vector.  The first n rows pin the incoming A_0, then come the 2n
+    matching rows of each site in order, which touch only the columns
+    [A_t, B_t, A_t+1, B_t+1] of site t, and the last n rows pin the
+    incoming B_m.  The matrix is then banded with kl = ku = 3n - 1, and
+    entry (i, j) is stored at [kl + ku + i - j, j] of the returned
+    (3 kl + 1) x 2n(m + 1) array, as zgbtrf expects; its first kl rows
+    are left free for the fill-in of the factorisation.
     """
     n = sites.n
     m = len(sites)
-    dim = 2 * n * (m + 1)
-    mat = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(n)
-    mat[0:n, 0:n] = eye
-    mat[n:2 * n, dim - n:] = eye
+    kl = 3 * n - 1
+    diag = 2 * kl  # band row of the main diagonal
+    ab = np.zeros((3 * kl + 1, 2 * n * (m + 1)), dtype=complex, order="F")
+    ab[diag, :n] = 1.0
+    ab[diag, -n:] = 1.0
 
+    eye = np.eye(n)
     pos = np.array([p for p, _ in sites.sites])
     c1, c2, c3 = (np.reshape([getattr(c, name) for _, c in sites.sites],
                              (m, n, n)) for name in ("c1", "c2", "c3"))
@@ -204,31 +211,44 @@ def assemble_system(sites: SiteArray, k: float) -> np.ndarray:
                sign * ikm * eye - 0.5 * em * c1 - 0.5 * ikm * c2]
         halves.append(np.block([val, der]))
     blocks = np.concatenate(halves, axis=2)  # (m, 2n, 4n)
-    rows = 2 * n * np.arange(1, m + 1)[:, None] + np.arange(2 * n)
-    cols = 2 * n * np.arange(m)[:, None] + np.arange(4 * n)
+    # Row n + 2nt + r meets column 2nt + q on band row diag + n + r - q,
+    # the same for every site t.
+    r = np.arange(2 * n)[:, None]
+    q = np.arange(4 * n)
+    cols = 2 * n * np.arange(m)[:, None, None] + q
     # added into zeros, not assigned, so no entry is a negative zero
-    mat[rows[:, :, None], cols[:, None, :]] += blocks
-    return mat
+    ab[diag + n + r - q, cols] += blocks
+    return ab
 
 
 def _solve(sites: SiteArray, k: float, pin_rhs: np.ndarray) -> np.ndarray:
     """Segment coefficients for the incoming [A_0; B_m] in pin_rhs, one
-    2n-vector or a column per incident wave, from one guarded solve."""
-    mat = assemble_system(sites, k)
-    if np.linalg.cond(mat) > _CONDITION_LIMIT:
+    2n-vector or a column per incident wave, from one guarded banded LU
+    factorisation."""
+    ab = assemble_system(sites, k)
+    kl = (ab.shape[0] - 1) // 3  # ab holds 3 kl + 1 band rows
+    n = sites.n
+    anorm = np.abs(ab).sum(axis=0).max()
+    lu, piv, info = zgbtrf(ab, kl, kl, overwrite_ab=True)
+    rcond = zgbcon(kl, kl, lu, piv, anorm)[0]
+    # info > 0 is an exact zero pivot; rcond is NaN when the couplings
+    # overflow the assembly
+    if info > 0 or not rcond * _CONDITION_LIMIT >= 1.0:
         raise SingularSystem(f"condition number above {_CONDITION_LIMIT:g} "
                              f"at k = {k}")
-    rhs = np.zeros((mat.shape[0],) + pin_rhs.shape[1:], dtype=complex)
-    rhs[:pin_rhs.shape[0]] = pin_rhs
-    return np.linalg.solve(mat, rhs)
+    pins = pin_rhs.reshape(2 * n, -1)
+    rhs = np.zeros((ab.shape[1], pins.shape[1]), dtype=complex, order="F")
+    rhs[:n], rhs[-n:] = pins[:n], pins[n:]
+    return zgbtrs(lu, kl, kl, rhs, piv, overwrite_b=True)[0]
 
 
 def solve_scattering(sites: SiteArray, incident: IncidentWave
                      ) -> ScatteringSolution:
     """Solve the matching system and report outgoing amplitudes.
 
-    Raises SingularSystem when the system's condition number exceeds
-    1e12, which signals k at or near a resonance pole of the array.
+    Raises SingularSystem when the estimated 1-norm condition number of
+    the system exceeds 1e12, which signals k at or near a resonance pole
+    of the array.
     """
     n = sites.n
     m = len(sites)
@@ -261,7 +281,7 @@ def full_s_matrix(sites: SiteArray, k: float) -> np.ndarray:
     The incident columns are the pins A_0 = e_j and B_m = e_j; the
     outgoing waves are A_m and B_0.
     """
-    _check_k(k)
+    check_k(k)
     n = sites.n
     sol = _solve(sites, k, np.eye(2 * n))
     return np.concatenate([sol[-2 * n:-n], sol[n:2 * n]])

@@ -151,6 +151,12 @@ def _check_kappa(kappa: float) -> float:
     return kappa
 
 
+def check_k(k: float) -> None:
+    """Reject a scattering wavenumber that is not a positive real."""
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError("k must be positive")
+
+
 def denominator(g, kappa: float) -> float:
     """The shared rational denominator D(kappa); its zeros are the
     bound states."""

@@ -26,6 +26,7 @@ from .errors import (
     PhaseBlind,
     ZeroCoupling,
 )
+from .pointcore import check_k
 
 __all__ = [
     "MemoryState",
@@ -100,8 +101,7 @@ class ScatterOp:
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError("k must be positive")
+        check_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -538,8 +538,7 @@ def admissibility_check(alpha: complex, beta: complex, k: float,
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ValueError("|alpha|^2 + |beta|^2 must be 1")
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("k must be positive")
+    check_k(k)
     wa = abs(alpha) ** 2
     wb = abs(beta) ** 2
     sp = s_plus(g1, k)

@@ -207,8 +207,7 @@ def transfer_matrix_oracle(sites, k: float) -> tuple[complex, complex]:
     transfer matrix in the plane-wave basis is multiplied across the
     array.  Completely independent of the channels solver.
     """
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("k must be positive")
+    pointcore.check_k(k)
     total = np.eye(2, dtype=complex)
     for pos, strength in sites:
         u = strength / (2j * k)

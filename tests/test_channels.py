@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fermi1d import channels, pointcore, qmemory
 from fermi1d.channels import IncidentWave, MatrixCouplings, SiteArray
+from fermi1d.errors import SingularSystem
+from fermi1d.verify import transfer_matrix_oracle
 
 
 def scalar_site(g1=0.0, g2=0.0, g3=0.0, position=0.0):
@@ -43,6 +47,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             IncidentWave(1.0, "left", np.array([1.0, 1.0]))
 
+    def test_non_finite_inputs_are_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MatrixCouplings.from_scalars(bad, 0.0, 0.0)
+            with pytest.raises(ValueError):
+                MatrixCouplings(np.eye(2), np.zeros((2, 2)),
+                                np.diag([1.0, bad]))
+            with pytest.raises(ValueError):
+                SiteArray([scalar_site(1.0, position=bad)])
+            with pytest.raises(ValueError):
+                SiteArray([scalar_site(1.0, position=0.0),
+                           scalar_site(1.0, position=bad)])
+            with pytest.raises(ValueError):
+                IncidentWave(1.0, "left", np.array([bad]))
+
     def test_full_s_matrix_rejects_bad_k(self):
         arr = SiteArray([scalar_site(1.0)])
         for k in (0.0, -1.0, float("nan")):
@@ -79,7 +98,6 @@ class TestSingleSite:
 
 class TestMultiSite:
     def test_two_deltas_match_transfer_matrices(self):
-        from fermi1d.verify import transfer_matrix_oracle
         sites = [(0.0, 1.0), (1.0, -0.5)]
         arr = SiteArray([scalar_site(g1=s, position=p) for p, s in sites])
         for k in (0.7, 1.0, 2.4):
@@ -92,6 +110,37 @@ class TestMultiSite:
         arr = SiteArray([scalar_site(1.0, 0.5, 0.3, position=0.0),
                          scalar_site(-0.7, 0.0, 1.1, position=1.3)])
         s = channels.full_s_matrix(arr, 0.9)
+        np.testing.assert_allclose(s @ s.conj().T, np.eye(2), atol=1e-12)
+
+    def test_long_delta_array_matches_transfer_matrices(self):
+        rng = np.random.default_rng(2000)
+        sites = list(zip(np.cumsum(rng.uniform(0.3, 1.2, 2000)),
+                         rng.uniform(-0.2, 0.2, 2000)))
+        arr = SiteArray([scalar_site(g1=s, position=p) for p, s in sites])
+        for k in (0.4, 1.7, 3.9):
+            t, r = transfer_matrix_oracle(sites, k)
+            sol = channels.solve_scattering(arr, IncidentWave(k, "left"))
+            assert abs(sol.outgoing_right[0] - t) < 1e-12
+            assert abs(sol.outgoing_left[0] - r) < 1e-12
+            s = channels.full_s_matrix(arr, k)
+            np.testing.assert_allclose(s @ s.conj().T, np.eye(2),
+                                       atol=1e-12)
+
+    def test_dirichlet_box_is_singular_at_its_modes(self):
+        # g2 = +2 leaves psi = 0 on its right and psi' = 0 on its left,
+        # g2 = -2 the mirror image: the two sites close a Dirichlet box
+        # on [0, 1] whose modes k = pi, 2 pi are embedded in the
+        # continuum, while waves from outside are fully reflected.
+        arr = SiteArray([scalar_site(g2=2.0, position=0.0),
+                         scalar_site(g2=-2.0, position=1.0)])
+        for k in (math.pi, 2.0 * math.pi):
+            with pytest.raises(SingularSystem):
+                channels.full_s_matrix(arr, k)
+            with pytest.raises(SingularSystem):
+                channels.solve_scattering(arr, IncidentWave(k, "left"))
+        s = channels.full_s_matrix(arr, 1.3 * math.pi)
+        np.testing.assert_allclose(np.abs(s), [[0.0, 1.0], [1.0, 0.0]],
+                                   atol=1e-12)
         np.testing.assert_allclose(s @ s.conj().T, np.eye(2), atol=1e-12)
 
     def test_complex_hermitian_columns_match_single_solves(self):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -110,6 +111,27 @@ class TestScatter:
         row = json.loads(out)[0]
         assert row["transmission"][0] == pytest.approx(1.0, abs=1e-14)
         assert row["reflection"][0] == pytest.approx(0.0, abs=1e-14)
+
+    def test_singular_row_is_flagged(self, tmp_path, capsys):
+        # a Dirichlet box on [0, 1] with a mode embedded at k = pi
+        cfg = write_config(tmp_path, {
+            "schema": 1, "sites": [{"position": 0.0, "g2": 2.0},
+                                   {"position": 1.0, "g2": -2.0}],
+            "k_grid": [math.pi], "mode": "left"})
+        code, out = run(capsys, ["scatter", "--config", cfg])
+        assert code == 0
+        assert json.loads(out) == [{"k": math.pi, "mode": "left",
+                                    "singular": True}]
+
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys):
+        nan = float("nan")
+        for extra in ({"amplitudes": [nan]},
+                      {"sites": [{"position": 0.0, "g1": nan}]}):
+            cfg = write_config(tmp_path, {
+                "schema": 1, "sites": [{"position": 0.0, "g1": 2.0}],
+                "k_grid": [1.0], "mode": "left", **extra})
+            code, _ = run(capsys, ["scatter", "--config", cfg])
+            assert code == 2
 
 
 class TestMemory:
