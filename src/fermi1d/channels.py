@@ -54,7 +54,8 @@ def _as_hermitian(m, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+    # relative to the matrix scale, so round-off of large couplings passes
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * np.max(np.abs(m)):
         raise ValueError(f"{name} must be hermitian")
     return m
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -20,7 +21,6 @@ from . import channels, pointcore, qmemory, verify
 from .errors import (
     ConfigError,
     Fermi1dError,
-    PoleAtSpectralPoint,
     SingularSystem,
 )
 
@@ -83,37 +83,27 @@ def _parse_cnum(value, what: str) -> complex:
     raise ConfigError(f"{what} must be a number or an [re, im] pair")
 
 
-def cmd_resolvent(config: dict) -> list[dict]:
+def cmd_resolvent(config: dict) -> dict:
     g = _couplings(config)
-    rows = []
-    for kappa in _grid(config, "kappa_grid"):
-        row = {"kappa": float(kappa)}
-        try:
-            quad = pointcore.resolvent_from_couplings(g, float(kappa))
-        except PoleAtSpectralPoint:
-            row.update({"pole": True, "f1": None, "f2": None,
-                        "f3": None, "f4": None})
-        else:
-            row.update({"pole": False, "f1": quad.f1, "f2": quad.f2,
-                        "f3": quad.f3, "f4": quad.f4})
-        rows.append(row)
-    return rows
+    kappa = _grid(config, "kappa_grid")
+    quads = pointcore.resolvent_grid(g, kappa)
+    return {"kappa": kappa, "pole": quads.pole, "f1": quads.f1,
+            "f2": quads.f2, "f3": quads.f3, "f4": quads.f4}
 
 
-def cmd_smatrix(config: dict) -> list[dict]:
+def cmd_smatrix(config: dict) -> dict:
     g = _couplings(config)
-    rows = []
-    for k in _grid(config, "k_grid"):
-        s = pointcore.s_matrix(g, float(k))
-        unit = float(np.max(np.abs(s @ s.conj().T - np.eye(2))))
-        rows.append({
-            "k": float(k),
-            "s_pp": _cnum(s[0, 0]), "s_pm": _cnum(s[0, 1]),
-            "s_mp": _cnum(s[1, 0]), "s_mm": _cnum(s[1, 1]),
-            "abs_det": float(abs(np.linalg.det(s))),
-            "unitarity_residual": unit,
-        })
-    return rows
+    k = _grid(config, "k_grid")
+    s = pointcore.s_matrix_grid(g, k)
+    unit = np.max(np.abs(s @ s.conj().transpose(0, 2, 1) - np.eye(2)),
+                  axis=(1, 2))
+    det = np.linalg.det(s)
+    # hypot, as abs() of one complex scalar; np.abs of a complex array
+    # may round differently
+    return {"k": k, "s_pp": s[:, 0, 0], "s_pm": s[:, 0, 1],
+            "s_mp": s[:, 1, 0], "s_mm": s[:, 1, 1],
+            "abs_det": np.hypot(det.real, det.imag),
+            "unitarity_residual": unit}
 
 
 def _site_array(config: dict) -> channels.SiteArray:
@@ -273,6 +263,14 @@ def _flatten(value) -> str:
     return str(value)
 
 
+def _write(text: str, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(rows, sort_keys=True, indent=2,
@@ -289,13 +287,66 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
         for row in rows:
             writer.writerow([_flatten(row.get(k)) for k in keys])
         text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    _write(text, out_path)
+
+
+def _cells(col: np.ndarray, fmt: str) -> list[str]:
+    """A column's values as _emit writes them: bools as true/false,
+    floats as json writes them (repr) or as %.17g, NaN as null.  Each
+    distinct float is formatted once."""
+    if col.dtype == bool:
+        return np.where(col, "true", "false").tolist()
+    distinct, where = np.unique(np.ascontiguousarray(col).view(np.int64),
+                                return_inverse=True)
+    floats = distinct.view(float)
+    if fmt == "json":
+        text = np.array(repr(floats.tolist())[1:-1].split(", "), dtype=object)
     else:
-        sys.stdout.write(text)
+        text = np.array(["%.17g" % v for v in floats.tolist()], dtype=object)
+    text[np.isnan(floats)] = "null" if fmt == "json" else ""
+    return text[where.ravel()].tolist()
 
 
+def _emit_columns(columns: dict, fmt: str, out_path: str | None) -> None:
+    """Write a table of equal-length columns, keyed in row order, with
+    the bytes `_emit` writes for the same rows.  Complex columns are
+    [re, im] pairs; finite floats are assumed, NaN meaning null.
+
+    Every row is filled into one template built from the keys: sorted
+    and indented for JSON, comma-joined for CSV.
+    """
+    keys = sorted(columns) if fmt == "json" else list(columns)
+    formatted = {}   # equal columns (S++ and S--, f2 and f4) share cells
+
+    def cells(col, cell_fmt):
+        memo = (col.dtype.str, col.tobytes(), cell_fmt)
+        if memo not in formatted:
+            formatted[memo] = _cells(col, cell_fmt)
+        return formatted[memo]
+
+    fields, slots = [], []
+    for key in keys:
+        col = columns[key]
+        if np.iscomplexobj(col):
+            # a pair is a json list in both formats
+            slots += [cells(col.real, "json"), cells(col.imag, "json")]
+            fields.append(f'"{key}": [\n      %s,\n      %s\n    ]'
+                          if fmt == "json" else '"[%s,%s]"')
+        else:
+            slots.append(cells(col, fmt))
+            fields.append(f'"{key}": %s' if fmt == "json" else "%s")
+    if fmt == "json":
+        row = "  {\n    " + ",\n    ".join(fields) + "\n  }"
+        text = ("[\n" + ",\n".join(row % values for values in zip(*slots))
+                + "\n]\n")
+    else:
+        row = ",".join(fields) + "\n"
+        text = ",".join(keys) + "\n" + "".join(
+            row % values for values in zip(*slots))
+    _write(text, out_path)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermi1d",
@@ -325,16 +376,16 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         if args.command == "resolvent":
-            rows = cmd_resolvent(config)
+            table, emit = cmd_resolvent(config), _emit_columns
         elif args.command == "smatrix":
-            rows = cmd_smatrix(config)
+            table, emit = cmd_smatrix(config), _emit_columns
         elif args.command == "scatter":
-            rows = cmd_scatter(config)
+            table, emit = cmd_scatter(config), _emit
         elif args.command == "memory":
-            rows = cmd_memory(config, args.seed)
+            table, emit = cmd_memory(config, args.seed), _emit
         else:
-            rows, all_passed = cmd_verify(config)
-            _emit(rows, args.format, args.out)
+            table, all_passed = cmd_verify(config)
+            _emit(table, args.format, args.out)
             return 0 if all_passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -342,7 +393,7 @@ def main(argv=None) -> int:
     except (Fermi1dError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    _emit(rows, args.format, args.out)
+    emit(table, args.format, args.out)
     return 0
 
 

@@ -35,15 +35,18 @@ __all__ = [
     "Couplings",
     "ResolventQuad",
     "ResolventConstants",
+    "ResolventGrid",
     "FAMILY_GENERIC",
     "FAMILY_SMALL_SCALE",
     "FAMILY_LARGE_SCALE",
     "resolvent_from_couplings",
+    "resolvent_grid",
     "constants_from_couplings",
     "resolvent_from_constants",
     "greens_function",
     "quad_sector",
     "s_matrix",
+    "s_matrix_grid",
     "even_phase",
     "odd_phase",
     "bound_states",
@@ -60,6 +63,8 @@ __all__ = [
 FAMILY_GENERIC = "generic"
 FAMILY_SMALL_SCALE = "small-scale-limit"
 FAMILY_LARGE_SCALE = "large-scale-limit"
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -157,18 +162,41 @@ def check_k(k: float) -> None:
         raise ValueError("k must be positive")
 
 
-def denominator(g, kappa: float) -> float:
-    """The shared rational denominator D(kappa); its zeros are the
-    bound states."""
-    g = _as_couplings(g)
-    kappa = _check_kappa(kappa)
-    return (g.g3 * kappa
-            - 0.5 * (4.0 - g.g1 * g.g3 + g.g2 ** 2)
-            - g.g1 / kappa)
+def _spectral_grid(kappa) -> np.ndarray:
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all(np.isfinite(kappa) & (kappa > 0)):
+        raise ValueError("spectral points must be positive reals")
+    return kappa
 
 
-def _pole_scale(g: Couplings, kappa: float) -> float:
-    return 1.0 + abs(g.g3) * kappa + abs(g.g1) / kappa
+def _first_non_finite(points: np.ndarray, parts, skip=None):
+    """The first point at which some part is not finite (an overflow),
+    ignoring the points masked by `skip`; None if there is none."""
+    bad = np.logical_or.reduce([~np.isfinite(p) for p in parts])
+    if skip is not None:
+        bad &= ~skip
+    return float(points[bad].flat[0]) if np.any(bad) else None
+
+
+# The closed forms below are written once over plain arithmetic, so they
+# evaluate a float or, element by element and rounded the same way, an
+# array of spectral points.
+
+def _denominator(g: Couplings, kappa):
+    """The shared rational denominator D(kappa), whose zeros are the
+    bound states, and the scale its pole test is relative to."""
+    d = (g.g3 * kappa
+         - 0.5 * (4.0 - g.g1 * g.g3 + g.g2 ** 2)
+         - g.g1 / kappa)
+    return d, 1.0 + abs(g.g3) * kappa + abs(g.g1) / kappa
+
+
+def _quad_entries(g: Couplings, kappa, d):
+    """(f1, f2 = f4, f3) over the denominator d."""
+    f24 = 1.0 + 0.5 * (4.0 + g.g1 * g.g3 - g.g2 ** 2) / d
+    f1 = (-g.g3 * kappa + 2.0 * g.g2 - g.g1 / kappa) / d
+    f3 = (-g.g3 * kappa - 2.0 * g.g2 - g.g1 / kappa) / d
+    return f1, f24, f3
 
 
 def resolvent_from_couplings(g, kappa: float,
@@ -176,17 +204,53 @@ def resolvent_from_couplings(g, kappa: float,
     """Evaluate f1..f4 for couplings g at resolvent parameter kappa > 0.
 
     Raises PoleAtSpectralPoint when |D(kappa)| falls below
-    pole_tol * (1 + |g3| kappa + |g1|/kappa), signalling a bound state.
+    pole_tol * (1 + |g3| kappa + |g1|/kappa), signalling a bound state,
+    and ValueError when the quads are not finite (kappa so small or so
+    large that a term overflows).  The scalar view of `resolvent_grid`.
     """
     g = _as_couplings(g)
     kappa = _check_kappa(kappa)
-    d = denominator(g, kappa)
-    if abs(d) < pole_tol * _pole_scale(g, kappa):
+    d, scale = _denominator(g, kappa)
+    if abs(d) < pole_tol * scale:
         raise PoleAtSpectralPoint(kappa)
-    f24 = 1.0 + 0.5 * (4.0 + g.g1 * g.g3 - g.g2 ** 2) / d
-    f1 = (-g.g3 * kappa + 2.0 * g.g2 - g.g1 / kappa) / d
-    f3 = (-g.g3 * kappa - 2.0 * g.g2 - g.g1 / kappa) / d
+    f1, f24, f3 = _quad_entries(g, kappa, d)
+    if not (math.isfinite(f1) and math.isfinite(f24)
+            and math.isfinite(f3)):
+        raise ValueError(f"resolvent is not finite at kappa = {kappa!r}")
     return ResolventQuad(f1, f24, f3, f24)
+
+
+@dataclass(frozen=True)
+class ResolventGrid:
+    """f1..f4 over an array of spectral points, with the pole mask.
+
+    Every field has the shape of the kappa array; pole points hold NaN.
+    """
+
+    pole: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    f4: np.ndarray
+
+
+def resolvent_grid(g, kappa, pole_tol: float = 1e-12) -> ResolventGrid:
+    """Evaluate f1..f4 at every point of a kappa array.
+
+    Each point is flagged, not raised, where `resolvent_from_couplings`
+    raises PoleAtSpectralPoint, and otherwise equals it exactly.  Raises
+    ValueError if a point off the poles is not finite.
+    """
+    g = _as_couplings(g)
+    kappa = _spectral_grid(kappa)
+    with np.errstate(all="ignore"):
+        d, scale = _denominator(g, kappa)
+        pole = abs(d) < pole_tol * scale
+        f1, f24, f3 = _quad_entries(g, kappa, np.where(pole, np.nan, d))
+    bad = _first_non_finite(kappa, (f1, f24, f3), skip=pole)
+    if bad is not None:
+        raise ValueError(f"resolvent is not finite at kappa = {bad!r}")
+    return ResolventGrid(pole, f1, f24, f3, f24)
 
 
 def constants_from_couplings(g) -> ResolventConstants:
@@ -302,21 +366,69 @@ def greens_function(g, kappa: float, x: float, xp: float,
             - f * math.exp(-kappa * (abs(x) + abs(xp)))) / (2.0 * kappa)
 
 
+# Complex arithmetic on (re, im) pairs, rounded as CPython rounds it: a
+# real operand is promoted to (x, 0.0) and division is Smith's algorithm,
+# scaled by the larger part of the divisor.  numpy's complex division
+# rounds differently in the last bit.
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cadd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _csub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _cdiv(a, b):
+    by_re = abs(b[0]) >= abs(b[1])
+    ratio = np.where(by_re, b[1] / b[0], b[0] / b[1])
+    den = np.where(by_re, b[0] + b[1] * ratio, b[0] * ratio + b[1])
+    return (np.where(by_re, a[0] + a[1] * ratio, a[0] * ratio + a[1]) / den,
+            np.where(by_re, a[1] - a[0] * ratio, a[1] * ratio - a[0]) / den)
+
+
+def s_matrix_grid(g, k) -> np.ndarray:
+    """S-matrices at every point of a k array, shape k.shape + (2, 2).
+
+    Entry by entry equal to evaluating, in Python complex arithmetic,
+    d = i g3 k + (4 - g1 g3 + g2^2)/2 + i g1/k, S++ = S-- =
+    ((4 + g1 g3 - g2^2)/2)/d and S+-, S-+ = (i g3 k -/+ 2 g2 - i g1/k)/d.
+    Raises ValueError if an entry is not finite.
+    """
+    g = _as_couplings(g)
+    k = _spectral_grid(k)
+    i = (0.0, 1.0)
+    with np.errstate(all="ignore"):
+        ik3 = _cmul(_cmul(i, (g.g3, 0.0)), (k, 0.0))
+        ik1 = _cdiv(_cmul(i, (g.g1, 0.0)), (k, 0.0))
+        d = _cadd(_cadd(ik3, (0.5 * (4.0 - g.g1 * g.g3 + g.g2 ** 2), 0.0)),
+                  ik1)
+        diag = _cdiv((0.5 * (4.0 + g.g1 * g.g3 - g.g2 ** 2), 0.0), d)
+        spm = _cdiv(_csub(_csub(ik3, (2.0 * g.g2, 0.0)), ik1), d)
+        smp = _cdiv(_csub(_cadd(ik3, (2.0 * g.g2, 0.0)), ik1), d)
+    bad = _first_non_finite(k, (*diag, *spm, *smp))
+    if bad is not None:
+        raise ValueError(f"S-matrix is not finite at k = {bad!r}")
+    s = np.empty(k.shape + (2, 2), dtype=complex)
+    for (row, col), (re, im) in (((0, 0), diag), ((0, 1), spm),
+                                 ((1, 0), smp), ((1, 1), diag)):
+        s.real[..., row, col] = re
+        s.imag[..., row, col] = im
+    return s
+
+
 def s_matrix(g, k: float) -> np.ndarray:
     """Unitary 2x2 S-matrix at wavenumber k > 0.
 
     Basis order (+, -) by propagation direction; entry [out, in], so
     S[0, 0] is the transmission of a wave incident from the left and
-    S[1, 0] its reflection.
+    S[1, 0] its reflection.  The scalar view of `s_matrix_grid`.
     """
-    g = _as_couplings(g)
-    k = _check_kappa(k)
-    d = (1j * g.g3 * k + 0.5 * (4.0 - g.g1 * g.g3 + g.g2 ** 2)
-         + 1j * g.g1 / k)
-    diag = 0.5 * (4.0 + g.g1 * g.g3 - g.g2 ** 2) / d
-    spm = (1j * g.g3 * k - 2.0 * g.g2 - 1j * g.g1 / k) / d
-    smp = (1j * g.g3 * k + 2.0 * g.g2 - 1j * g.g1 / k) / d
-    return np.array([[diag, spm], [smp, diag]])
+    return s_matrix_grid(g, _check_kappa(k))
 
 
 def even_phase(g1: float, k: float) -> complex:
@@ -344,10 +456,17 @@ def bound_states(g) -> list[float]:
             return []
         root = g.g1 / b
         return [root] if root > 0.0 else []
-    roots = np.roots([g.g3, b, -g.g1])
-    out = [float(r.real) for r in roots
-           if abs(r.imag) < 1e-12 * (1.0 + abs(r.real)) and r.real > 0.0]
-    return sorted(out)
+    # g3 kappa^2 + b kappa - g1 = 0.  A discriminant within rounding of
+    # zero is a double root, reported once.
+    disc = b * b + 4.0 * g.g3 * g.g1
+    if abs(disc) <= 4.0 * _EPS * (b * b + abs(4.0 * g.g3 * g.g1)):
+        roots = [-b / (2.0 * g.g3)]
+    elif disc < 0.0:
+        return []
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = [q / g.g3, -g.g1 / q]
+    return sorted(r for r in roots if r > 0.0)
 
 
 _RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)

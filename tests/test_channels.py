@@ -29,6 +29,24 @@ class TestTypes:
             MatrixCouplings(np.array([[0.0, 1.0], [0.0, 0.0]]),
                             np.zeros((2, 2)), np.zeros((2, 2)))
 
+    def test_hermiticity_tolerance_is_relative(self):
+        # a hermitian matrix at scale 1e6 after an orthogonal similarity
+        # carries round-off asymmetry of about 1e-10
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 3))
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = q @ (1e6 * (a + a.T) / 2.0) @ q.T
+        assert np.max(np.abs(m - m.T)) > 1e-12
+        zero = np.zeros((3, 3))
+        MatrixCouplings(m, zero, zero)
+        bad = m.copy()
+        bad[0, 1] += 1e-6 * np.max(np.abs(m))
+        with pytest.raises(ValueError, match="c1 must be hermitian"):
+            MatrixCouplings(bad, zero, zero)
+        with pytest.raises(ValueError, match="c3 must be hermitian"):
+            MatrixCouplings(zero, zero, 1e-6 * np.array(
+                [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
     def test_sites_must_share_channel_count(self):
         two = MatrixCouplings(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):

@@ -1,15 +1,22 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fermi1d import cli, pointcore
 from fermi1d.cli import main
+from fermi1d.errors import PoleAtSpectralPoint
 
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def cnum(z):
+    return [float(z.real), float(z.imag)]
 
 
 def run(capsys, argv):
@@ -61,7 +68,27 @@ class TestResolvent:
         assert len(json.loads(out)) == 4
 
 
+    def test_non_finite_row_is_domain_error(self, tmp_path, capsys):
+        # g1 / kappa overflows at kappa = 1e-320
+        cfg = write_config(tmp_path, {"schema": 1,
+                                      "couplings": [1.5, 0.3, -0.7],
+                                      "kappa_grid": [1.0, 1e-320]})
+        assert main(["resolvent", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:")
+
+
 class TestSMatrix:
+    def test_non_finite_row_is_domain_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1,
+                                      "couplings": [1.5, 0.3, -0.7],
+                                      "k_grid": [1e-320]})
+        assert main(["smatrix", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:")
+
     def test_identity_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,
                                       "couplings": [0, 0, 0],
@@ -229,6 +256,54 @@ class TestOutput:
             assert main(["memory", "--config", cfg, "--seed", "7",
                          "--out", str(path)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("g", [(2.0, 0.0, 2.0), (0.0, 1.5, 0.0),
+                                   (-0.0, -0.7, 1.3), (2.5, 0.4, -0.0),
+                                   (-1.2, 0.3, -0.8)])
+    def test_grid_bytes_match_row_path(self, tmp_path, g):
+        # The row-by-row path that the grid kernels replaced, built from
+        # the scalar functions and written by the row writer.  The grid
+        # holds a pole row of (2, 0, 2) at kappa = 1.
+        grid = sorted([1.0, 1e-3, 1e3] + list(np.linspace(0.05, 7.0, 40)))
+        resolvent_rows = []
+        for kappa in grid:
+            row = {"kappa": kappa}
+            try:
+                q = pointcore.resolvent_from_couplings(g, kappa)
+            except PoleAtSpectralPoint:
+                row.update({"pole": True, "f1": None, "f2": None,
+                            "f3": None, "f4": None})
+            else:
+                row.update({"pole": False, "f1": q.f1, "f2": q.f2,
+                            "f3": q.f3, "f4": q.f4})
+            resolvent_rows.append(row)
+        smatrix_rows = []
+        for k in grid:
+            sm = pointcore.s_matrix(g, k)
+            smatrix_rows.append({
+                "k": k,
+                "s_pp": cnum(sm[0, 0]), "s_pm": cnum(sm[0, 1]),
+                "s_mp": cnum(sm[1, 0]), "s_mm": cnum(sm[1, 1]),
+                "abs_det": float(abs(np.linalg.det(sm))),
+                "unitarity_residual": float(np.max(np.abs(
+                    sm @ sm.conj().T - np.eye(2))))})
+        for command, key, rows in (("resolvent", "kappa_grid",
+                                    resolvent_rows),
+                                   ("smatrix", "k_grid", smatrix_rows)):
+            cfg = write_config(tmp_path, {"schema": 1, "couplings": list(g),
+                                          key: grid})
+            ref_csv = tmp_path / "ref.csv"
+            cli._emit(rows, "csv", str(ref_csv))
+            expected = {"json": (json.dumps(rows, sort_keys=True, indent=2,
+                                            separators=(",", ": "))
+                                 + "\n").encode(),
+                        "csv": ref_csv.read_bytes()}
+            for fmt, ref in expected.items():
+                out = tmp_path / f"out.{fmt}"
+                assert main([command, "--config", cfg, "--format", fmt,
+                             "--out", str(out)]) == 0
+                assert out.read_bytes() == ref, (command, fmt)
+        assert any(row["pole"] for row in resolvent_rows) == (g[0] == 2.0)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _ = run(capsys, ["resolvent", "--config",

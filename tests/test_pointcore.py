@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi1d import pointcore
 from fermi1d.errors import (
@@ -213,10 +215,108 @@ class TestBoundStates:
         assert pointcore.bound_states((1.0, 0.0, 0.0)) == []
 
     def test_quadratic_case(self):
-        roots = pointcore.bound_states((2.0, 0.0, 2.0))
-        assert roots == pytest.approx([1.0], abs=1e-12)
-        with pytest.raises(PoleAtSpectralPoint):
-            pointcore.resolvent_from_couplings((2.0, 0.0, 2.0), roots[0])
+        # (-4, 0, 1): kappa D = (kappa - 2)^2, a double root reported once
+        for g, expected in (((2.0, 0.0, 2.0), [1.0]),
+                            ((-4.0, 0.0, 1.0), [2.0])):
+            roots = pointcore.bound_states(g)
+            assert roots == pytest.approx(expected, abs=1e-12)
+            with pytest.raises(PoleAtSpectralPoint):
+                pointcore.resolvent_from_couplings(g, roots[0])
+
+
+def s_matrix_complex(g, k):
+    """The closed-form S-matrix evaluated in Python complex arithmetic,
+    the rounding the grid kernel reproduces in real arithmetic."""
+    g1, g2, g3 = g
+    d = (1j * g3 * k + 0.5 * (4.0 - g1 * g3 + g2 ** 2) + 1j * g1 / k)
+    diag = 0.5 * (4.0 + g1 * g3 - g2 ** 2) / d
+    spm = (1j * g3 * k - 2.0 * g2 - 1j * g1 / k) / d
+    smp = (1j * g3 * k + 2.0 * g2 - 1j * g1 / k) / d
+    return np.array([[diag, spm], [smp, diag]])
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal signs of zero."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (a, b)
+
+
+_strength = st.floats(1e-3, 1e3)
+_FAMILIES = ("++", "+-", "-+", "--", "g1=0", "g3=0", "g2-only")
+
+
+@st.composite
+def couplings(draw):
+    """Couplings from one of the sign sectors of (g1, g3) or one of the
+    g1 = 0, g3 = 0 and pure-g2 families."""
+    family = draw(st.sampled_from(_FAMILIES))
+    g1, g3 = draw(_strength), draw(_strength)
+    g2 = draw(st.floats(-30.0, 30.0))
+    if family in ("++", "+-", "-+", "--"):
+        g1 = g1 if family[0] == "+" else -g1
+        g3 = g3 if family[1] == "+" else -g3
+    elif family == "g1=0":
+        g1 = 0.0
+    elif family == "g3=0":
+        g3 = 0.0
+    else:
+        g1 = g3 = 0.0
+        g2 = draw(st.floats(1e-3, 30.0) | st.floats(-30.0, -1e-3))
+    return (g1, g2, g3)
+
+
+_points = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30)
+
+
+class TestGridKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(couplings(), _points)
+    def test_resolvent_grid_equals_scalar_view(self, g, kappa):
+        # the bound states put pole-mask points into the grid
+        kappa = np.array(kappa + pointcore.bound_states(g))
+        grid = pointcore.resolvent_grid(g, kappa)
+        for j, point in enumerate(kappa):
+            try:
+                quad = pointcore.resolvent_from_couplings(g, point)
+            except PoleAtSpectralPoint:
+                assert grid.pole[j]
+                assert np.isnan([grid.f1[j], grid.f2[j], grid.f3[j],
+                                 grid.f4[j]]).all()
+                continue
+            assert not grid.pole[j]
+            assert_same_bits([grid.f1[j], grid.f2[j], grid.f3[j],
+                              grid.f4[j]], quad.as_array())
+
+    @settings(max_examples=300, deadline=None)
+    @given(couplings(), _points)
+    def test_s_matrix_grid_equals_complex_evaluation(self, g, k):
+        k = np.array(k)
+        s = pointcore.s_matrix_grid(g, k)
+        assert s.shape == (len(k), 2, 2)
+        for j, point in enumerate(k):
+            assert_same_bits(s[j], s_matrix_complex(g, point))
+            assert_same_bits(s[j], pointcore.s_matrix(g, point))
+
+    def test_kernels_broadcast(self):
+        kappa = np.array([[0.5, 1.0], [1.5, 2.0]])
+        grid = pointcore.resolvent_grid((2.0, 0.0, 2.0), kappa)
+        assert grid.pole.tolist() == [[False, True], [False, False]]
+        assert grid.f1.shape == kappa.shape
+        assert pointcore.s_matrix_grid((1.0, 0.5, -1.0),
+                                       kappa).shape == (2, 2, 2, 2)
+
+    def test_non_finite_points_raise(self):
+        g = (1.5, 0.3, -0.7)
+        # g1 / kappa overflows
+        with pytest.raises(ValueError, match="not finite at kappa = 1e-320"):
+            pointcore.resolvent_grid(g, [1.0, 1e-320])
+        with pytest.raises(ValueError, match="not finite"):
+            pointcore.resolvent_from_couplings(g, 1e-320)
+        with pytest.raises(ValueError, match="not finite at k = 1e-320"):
+            pointcore.s_matrix_grid(g, [1.0, 1e-320])
+        with pytest.raises(ValueError):
+            pointcore.resolvent_grid(g, [1.0, 0.0])
 
 
 class TestPairings:
