@@ -1,50 +1,47 @@
 """Multichannel, multi-site point-interaction scattering.
 
-An array of point interactions at positions x_1 < ... < x_m, each with
-n x n hermitian coupling matrices (C1, C2, C3), reduces the coupled
-Schroedinger equations to a finite linear system.  Between sites the
-solution is a superposition of plane waves per channel,
-
-    psi_s(x) = A_s exp(ikx) + B_s exp(-ikx),   s = 0..m,
-
+Sites at x_1 < ... < x_m carry n x n hermitian coupling matrices
+(C1, C2, C3).  Between sites the solution is a superposition of plane
+waves per channel, psi_s(x) = A_s exp(ikx) + B_s exp(-ikx), s = 0..m,
 and at each site the pairing rules give the matching conditions
 
     Delta psi  = -C2 psi_bar - C3 psi_bar'
     Delta psi' =  C1 psi_bar + C2 psi_bar'
 
-(the C2 signs fix the same orientation convention as the single-channel
-closed forms; the opposite choice is its mirror image).
-
 where psi_bar and psi_bar' are the means of the one-sided values and
-(regularized) one-sided derivatives.  This module assembles that system
-in band storage, solves it with one banded LU factorisation per
-wavenumber, and builds the full 2n x 2n S-matrix.
+(regularized) one-sided derivatives; the C2 signs fix the orientation
+convention of the single-channel closed forms (the opposite choice is
+its mirror image).  Each site's matching rows give its S-matrix, and
+the array's is their Redheffer star product, joined pairwise in
+ceil(log2 m) levels batched over sites and wavenumbers: O(n^3 m) time
+per wavenumber, and no interior segment coefficients.  A join inverts
+the round-trip matrix I - r'_a r_b of two sub-arrays, dimensionless
+and singular exactly when a mode is trapped between them, so the guard
+on it depends on no unit or scale.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
 from .errors import SingularSystem
-from .pointcore import check_k
+from .pointcore import _spectral_grid, check_k
 
 __all__ = [
     "MatrixCouplings",
     "SiteArray",
     "IncidentWave",
     "ScatteringSolution",
-    "assemble_system",
+    "full_s_matrix_grid",
     "solve_scattering",
     "full_s_matrix",
     "parity_blocks",
 ]
 
 _MIN_SEPARATION = 1e-9
-_CONDITION_LIMIT = 1e12
+_ROUND_TRIP_LIMIT = 1e-12  # smallest singular value of I - r'_a r_b
 _MODES = ("left", "right", "even", "odd")
 
 
@@ -88,28 +85,36 @@ class MatrixCouplings:
 
 @dataclass(frozen=True)
 class SiteArray:
-    """Ordered interaction sites with a common channel count."""
+    """Ordered interaction sites with a common channel count, also held
+    as the arrays `positions`, shape (m,), and `couplings`, shape
+    (3, m, n, n), whose entry j stacks C_{j+1} over the sites."""
 
     sites: tuple
+    positions: np.ndarray = field(repr=False, compare=False)
+    couplings: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, sites):
         sites = tuple((float(pos), c) for pos, c in sites)
-        positions = [pos for pos, _ in sites]
-        if not all(map(math.isfinite, positions)):
+        positions = np.array([pos for pos, _ in sites])
+        if not np.all(np.isfinite(positions)):
             raise ValueError("site positions must be finite")
-        for left, right in zip(positions, positions[1:]):
-            if right - left < _MIN_SEPARATION:
-                raise ValueError("site positions must be strictly "
-                                 f"increasing with separation >= "
-                                 f"{_MIN_SEPARATION}")
+        if np.any(np.diff(positions) < _MIN_SEPARATION):
+            raise ValueError("site positions must be strictly increasing "
+                             f"with separation >= {_MIN_SEPARATION}")
         ns = {c.n for _, c in sites}
         if len(ns) > 1:
             raise ValueError("all sites must share the channel count")
+        n = ns.pop() if ns else 1
+        couplings = np.array([[getattr(c, name) for _, c in sites]
+                              for name in ("c1", "c2", "c3")], dtype=complex)
         object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "couplings",
+                           couplings.reshape(3, len(sites), n, n))
 
     @property
     def n(self) -> int:
-        return self.sites[0][1].n if self.sites else 1
+        return self.couplings.shape[-1]
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -156,122 +161,115 @@ class IncidentWave:
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Segment coefficients and derived per-channel probabilities."""
+    """Outgoing amplitudes and derived per-channel probabilities."""
 
     k: float
-    coefficients_a: tuple  # A_s per segment, each an n-vector
-    coefficients_b: tuple
+    outgoing_left: np.ndarray  # B_0
+    outgoing_right: np.ndarray  # A_m
     reflection: np.ndarray  # |outgoing left|^2 per channel
     transmission: np.ndarray  # |outgoing right|^2 per channel
     flux_residual: float
 
-    @property
-    def outgoing_left(self) -> np.ndarray:
-        return self.coefficients_b[0]
+    @classmethod
+    def from_s_matrix(cls, s: np.ndarray, incident: IncidentWave):
+        """[A_m; B_0] = s [A_0; B_m], for the S-matrix s at incident.k."""
+        n = s.shape[-1] // 2
+        if incident.amplitudes.size != n:
+            raise ValueError("incident amplitude dimension does not match "
+                             "the site array channel count")
+        pins = np.concatenate(incident.endpoint_amplitudes())
+        out = s @ pins
+        prob = np.abs(out) ** 2
+        return cls(incident.k, out[n:], out[:n], prob[n:], prob[:n],
+                   float(prob.sum() - np.sum(np.abs(pins) ** 2)))
 
-    @property
-    def outgoing_right(self) -> np.ndarray:
-        return self.coefficients_a[-1]
 
-
-def assemble_system(sites: SiteArray, k: float) -> np.ndarray:
-    """The matching conditions at wavenumber k in LAPACK band storage.
-
-    Unknown layout: [A_0, B_0, A_1, B_1, ..., A_m, B_m], each block an
-    n-vector.  The first n rows pin the incoming A_0, then come the 2n
-    matching rows of each site in order, which touch only the columns
-    [A_t, B_t, A_t+1, B_t+1] of site t, and the last n rows pin the
-    incoming B_m.  The matrix is then banded with kl = ku = 3n - 1, and
-    entry (i, j) is stored at [kl + ku + i - j, j] of the returned
-    (3 kl + 1) x 2n(m + 1) array, as zgbtrf expects; its first kl rows
-    are left free for the fill-in of the factorisation.
-    """
+def _site_s_matrices(sites: SiteArray, k: np.ndarray):
+    """Every site's S-matrix at every k of a 1-d array, (len(k), m, 2n,
+    2n), and the mask of the (k, site) pairs it cannot solve.  Site t
+    joins segments t and t+1: its rows M_out [A_t+1; B_t] +
+    M_in [A_t; B_t+1] = 0 give S_t = -M_out^-1 M_in."""
     n = sites.n
-    m = len(sites)
-    kl = 3 * n - 1
-    diag = 2 * kl  # band row of the main diagonal
-    ab = np.zeros((3 * kl + 1, 2 * n * (m + 1)), dtype=complex, order="F")
-    ab[diag, :n] = 1.0
-    ab[diag, -n:] = 1.0
-
     eye = np.eye(n)
-    pos = np.array([p for p, _ in sites.sites])
-    c1, c2, c3 = (np.reshape([getattr(c, name) for _, c in sites.sites],
-                             (m, n, n)) for name in ("c1", "c2", "c3"))
-    ep = np.exp(1j * k * pos)[:, None, None]
-    em = np.exp(-1j * k * pos)[:, None, None]
-    ikp = 1j * k * ep
-    ikm = -1j * k * em
-    halves = []
-    for sign in (-1.0, +1.0):  # segment t (left), then t+1 (right)
-        # Delta psi + C2 psi_bar + C3 psi_bar' = 0
-        val = [sign * ep * eye + 0.5 * ep * c2 + 0.5 * ikp * c3,
-               sign * em * eye + 0.5 * em * c2 + 0.5 * ikm * c3]
-        # Delta psi' - C1 psi_bar - C2 psi_bar' = 0
-        der = [sign * ikp * eye - 0.5 * ep * c1 - 0.5 * ikp * c2,
-               sign * ikm * eye - 0.5 * em * c1 - 0.5 * ikm * c2]
-        halves.append(np.block([val, der]))
-    blocks = np.concatenate(halves, axis=2)  # (m, 2n, 4n)
-    # Row n + 2nt + r meets column 2nt + q on band row diag + n + r - q,
-    # the same for every site t.
-    r = np.arange(2 * n)[:, None]
-    q = np.arange(4 * n)
-    cols = 2 * n * np.arange(m)[:, None, None] + q
-    # added into zeros, not assigned, so no entry is a negative zero
-    ab[diag + n + r - q, cols] += blocks
-    return ab
+    c1, c2, c3 = sites.couplings
+    ep = np.exp(1j * k[:, None] * sites.positions)[..., None, None]
+    ikp = 1j * k[:, None, None, None] * ep
+
+    def jump_and_mean(e, de):
+        # the column of the plane wave e, of derivative de, in the rows
+        # Delta psi + C2 psi_bar + C3 psi_bar' = 0 over Delta psi' -
+        # C1 psi_bar - C2 psi_bar' = 0: -jump + mean left of the site
+        return (np.concatenate([e * eye, de * eye], axis=-2),
+                np.concatenate([e * c2 + de * c3, -e * c1 - de * c2],
+                               axis=-2) / 2.0)
+
+    a_jump, a_mean = jump_and_mean(ep, ikp)
+    b_jump, b_mean = jump_and_mean(ep.conj(), ikp.conj())
+    block = np.concatenate([a_mean + a_jump, b_mean - b_jump,    # M_out
+                            a_mean - a_jump, b_mean + b_jump],   # M_in
+                           axis=-1)
+    m_out, m_in = block[..., :2 * n], block[..., 2 * n:]
+    # a non-finite entry, or an exact zero pivot that the solve rejects
+    bad = (~np.isfinite(block).all(axis=(-2, -1))
+           | (np.linalg.slogdet(m_out)[0] == 0))
+    block[bad] = np.eye(2 * n, 4 * n)
+    return -np.linalg.solve(m_out, m_in), bad
 
 
-def _solve(sites: SiteArray, k: float, pin_rhs: np.ndarray) -> np.ndarray:
-    """Segment coefficients for the incoming [A_0; B_m] in pin_rhs, one
-    2n-vector or a column per incident wave, from one guarded banded LU
-    factorisation."""
-    ab = assemble_system(sites, k)
-    kl = (ab.shape[0] - 1) // 3  # ab holds 3 kl + 1 band rows
-    n = sites.n
-    anorm = np.abs(ab).sum(axis=0).max()
-    lu, piv, info = zgbtrf(ab, kl, kl, overwrite_ab=True)
-    rcond = zgbcon(kl, kl, lu, piv, anorm)[0]
-    # info > 0 is an exact zero pivot; rcond is NaN when the couplings
-    # overflow the assembly
-    if info > 0 or not rcond * _CONDITION_LIMIT >= 1.0:
-        raise SingularSystem(f"condition number above {_CONDITION_LIMIT:g} "
-                             f"at k = {k}")
-    pins = pin_rhs.reshape(2 * n, -1)
-    rhs = np.zeros((ab.shape[1], pins.shape[1]), dtype=complex, order="F")
-    rhs[:n], rhs[-n:] = pins[:n], pins[n:]
-    return zgbtrs(lu, kl, kl, rhs, piv, overwrite_b=True)[0]
+def _star(a: np.ndarray, b: np.ndarray):
+    """Star products of stacked S-matrices [[t, r'], [r, t']] of adjacent
+    sub-arrays, a on the left, and the mask of the pairs whose round-trip
+    I - r'_a r_b is not finite or has sigma_min below the limit."""
+    n = a.shape[-1] // 2
+    lo, hi = slice(None, n), slice(n, None)
+    ta, rpa, ra, tpa = (a[..., i, j] for i in (lo, hi) for j in (lo, hi))
+    tb, rpb, rb, tpb = (b[..., i, j] for i in (lo, hi) for j in (lo, hi))
+    loop = rpa @ rb
+    bad = ~np.isfinite(loop).all(axis=(-2, -1))
+    loop[bad] = 0.0
+    trip = np.eye(n) - loop
+    # sigma_min(I - P) >= 1 - |P|_F: an SVD only where that bound fails
+    near = np.linalg.norm(loop, axis=(-2, -1)) > 1.0 - _ROUND_TRIP_LIMIT
+    bad[near] = (np.linalg.svd(trip[near], compute_uv=False)[:, -1]
+                 < _ROUND_TRIP_LIMIT)
+    trip[bad] = np.eye(n)
+    # the waves between a and b: A_mid = w, B_mid = v per [A_left, B_right]
+    w = np.linalg.solve(trip, np.concatenate([ta, rpa @ tpb], axis=-1))
+    v = rb @ w
+    v[..., n:] += tpb
+    top = tb @ w  # A_right = t_b A_mid + r'_b B_right
+    top[..., n:] += rpb
+    bottom = tpa @ v  # B_left = r_a A_left + t'_a B_mid
+    bottom[..., :n] += ra
+    return np.concatenate([top, bottom], axis=-2), bad
 
 
-def solve_scattering(sites: SiteArray, incident: IncidentWave
-                     ) -> ScatteringSolution:
-    """Solve the matching system and report outgoing amplitudes.
+def full_s_matrix_grid(sites: SiteArray, k) -> tuple[np.ndarray, np.ndarray]:
+    """S-matrices of the array at every point of a k array: s, shape
+    k.shape + (2n, 2n) in the basis of `full_s_matrix`, and the mask of
+    the singular k, where a round-trip matrix has smallest singular value
+    below 1e-12 (a trapped mode) or a site or joined S-matrix is not
+    finite (an overflow).  s is NaN there."""
+    k = _spectral_grid(k)
+    flat = k.reshape(-1)
+    with np.errstate(all="ignore"):
+        s, bad = _site_s_matrices(sites, flat)
+        singular = bad.any(axis=1)
+        while s.shape[1] > 1:
+            pairs = s.shape[1] // 2
+            joined, bad = _star(s[:, 0:2 * pairs:2], s[:, 1:2 * pairs:2])
+            singular |= bad.any(axis=1)
+            s = np.concatenate([joined, s[:, 2 * pairs:]], axis=1)
+        s = s[:, 0] if len(sites) else np.eye(2) + 0j * flat[:, None, None]
+        singular |= ~np.isfinite(s).all(axis=(-2, -1))
+    s[singular] = np.nan
+    return s.reshape(k.shape + s.shape[1:]), singular.reshape(k.shape)
 
-    Raises SingularSystem when the estimated 1-norm condition number of
-    the system exceeds 1e12, which signals k at or near a resonance pole
-    of the array.
-    """
-    n = sites.n
-    m = len(sites)
-    if incident.amplitudes.size != n:
-        raise ValueError("incident amplitude dimension does not match "
-                         "the site array channel count")
-    a_in, b_in = incident.endpoint_amplitudes()
-    sol = _solve(sites, incident.k, np.concatenate([a_in, b_in]))
-    segments = sol.reshape(m + 1, 2, n)
-    coeff_a, coeff_b = tuple(segments[:, 0]), tuple(segments[:, 1])
-    flux_in = float(np.sum(np.abs(a_in) ** 2 + np.abs(b_in) ** 2))
-    out_left = coeff_b[0]
-    out_right = coeff_a[-1]
-    flux_out = float(np.sum(np.abs(out_left) ** 2 + np.abs(out_right) ** 2))
-    return ScatteringSolution(
-        k=incident.k,
-        coefficients_a=coeff_a,
-        coefficients_b=coeff_b,
-        reflection=np.abs(out_left) ** 2,
-        transmission=np.abs(out_right) ** 2,
-        flux_residual=flux_out - flux_in,
-    )
+
+def solve_scattering(sites: SiteArray, incident: IncidentWave):
+    """Outgoing waves of one incident wave; SingularSystem as below."""
+    return ScatteringSolution.from_s_matrix(
+        full_s_matrix(sites, incident.k), incident)
 
 
 def full_s_matrix(sites: SiteArray, k: float) -> np.ndarray:
@@ -279,13 +277,14 @@ def full_s_matrix(sites: SiteArray, k: float) -> np.ndarray:
 
     Basis order (channel 1 +, ..., channel n +, channel 1 -, ...,
     channel n -), where + waves travel rightward.  Entry [out, in].
-    The incident columns are the pins A_0 = e_j and B_m = e_j; the
-    outgoing waves are A_m and B_0.
+    The incident columns are A_0 = e_j and B_m = e_j; the outgoing waves
+    are A_m and B_0.  The scalar view of `full_s_matrix_grid`, raising
+    SingularSystem where it flags k.
     """
-    check_k(k)
-    n = sites.n
-    sol = _solve(sites, k, np.eye(2 * n))
-    return np.concatenate([sol[-2 * n:-n], sol[n:2 * n]])
+    s, singular = full_s_matrix_grid(sites, k)
+    if singular:
+        raise SingularSystem(f"trapped mode or overflow at k = {k}")
+    return s
 
 
 def parity_blocks(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,7 @@ import sys
 import numpy as np
 
 from . import channels, pointcore, qmemory, verify
-from .errors import (
-    ConfigError,
-    Fermi1dError,
-    SingularSystem,
-)
+from .errors import ConfigError, Fermi1dError
 
 _SCHEMA = 1
 
@@ -139,20 +135,19 @@ def cmd_scatter(config: dict) -> list[dict]:
     amps = config.get("amplitudes")
     if amps is not None:
         amps = np.array([_parse_cnum(a, "amplitude") for a in amps])
+    k_grid = _grid(config, "k_grid")
+    s, singular = channels.full_s_matrix_grid(sites, k_grid)
     rows = []
-    for k in _grid(config, "k_grid"):
-        row = {"k": float(k), "mode": mode}
+    for k, s_k, flagged in zip(k_grid.tolist(), s, singular.tolist()):
         try:
-            wave = channels.IncidentWave(float(k), mode, amps)
+            wave = channels.IncidentWave(k, mode, amps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        try:
-            sol = channels.solve_scattering(sites, wave)
-        except SingularSystem:
-            row.update({"singular": True})
-        else:
+        # checks the channel count at flagged k too (their S is NaN)
+        sol = channels.ScatteringSolution.from_s_matrix(s_k, wave)
+        row = {"k": k, "mode": mode, "singular": flagged}
+        if not flagged:
             row.update({
-                "singular": False,
                 "outgoing_left": [_cnum(v) for v in sol.outgoing_left],
                 "outgoing_right": [_cnum(v) for v in sol.outgoing_right],
                 "reflection": [float(v) for v in sol.reflection],

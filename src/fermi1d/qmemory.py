@@ -26,7 +26,7 @@ from .errors import (
     PhaseBlind,
     ZeroCoupling,
 )
-from .pointcore import check_k
+from .pointcore import check_k, even_phase, odd_phase
 
 __all__ = [
     "MemoryState",
@@ -132,16 +132,20 @@ class AdmissibilityReport:
     density_matrix: np.ndarray
 
 
+def _rotation(phase: complex, sigma: np.ndarray) -> np.ndarray:
+    """Re(e) I + i Im(e) sigma, which is exp(i arg(e) sigma) for a
+    unimodular parity phase e."""
+    return phase.real * np.eye(2) + 1j * phase.imag * sigma
+
+
 def s_minus(g3: float, k: float) -> np.ndarray:
     """Odd-wave scattering matrix exp(-i sigma_3 2 arctan(g3 k / 2))."""
-    return ((4.0 - g3 ** 2 * k ** 2) * np.eye(2) - 4j * g3 * k * _SIGMA3) \
-        / (4.0 + g3 ** 2 * k ** 2)
+    return _rotation(odd_phase(g3, k), _SIGMA3)
 
 
 def s_plus(g1: float, k: float) -> np.ndarray:
     """Even-wave scattering matrix exp(-i sigma_1 2 arctan(g1/(2k)))."""
-    return ((4.0 * k ** 2 - g1 ** 2) * np.eye(2) - 4j * g1 * k * _SIGMA1) \
-        / (4.0 * k ** 2 + g1 ** 2)
+    return _rotation(even_phase(g1, k), _SIGMA1)
 
 
 def op_matrix(op: ScatterOp, g1: float, g3: float) -> np.ndarray:

@@ -140,9 +140,7 @@ def ode_residual(provider, kappas, h_rel: float = 1e-5) -> np.ndarray:
         kappa = float(kappa)
         h = h_rel * kappa
         f = provider(kappa).as_array()
-        fp = np.array([
-            _derivative(lambda t, j=j: provider(t).as_array()[j], kappa, h)
-            for j in range(4)])
+        fp = _derivative(lambda t: provider(t).as_array(), kappa, h)
         f1, f2, f3, f4 = f
         res = np.abs([
             fp[0] + (f2 + f4 - f2 * f4 - f1 ** 2) / (2.0 * kappa),

@@ -13,6 +13,39 @@ def scalar_site(g1=0.0, g2=0.0, g3=0.0, position=0.0):
     return (position, MatrixCouplings.from_scalars(g1, g2, g3))
 
 
+def dense_matching_s_matrix(sites, k):
+    """Reference S-matrix from the global plane-wave matching system,
+    assembled site by site and solved densely with np.linalg.solve.
+
+    Unknowns [A_0, B_0, ..., A_m, B_m]; the wave on segment s is
+    E u_s with E = [e I, conj(e) I], e = exp(ikx), and its derivative
+    D u_s with D = ik [e I, -conj(e) I].  Rows: n pins of A_0, then per
+    site Delta psi + C2 psi_bar + C3 psi_bar' = 0 and Delta psi' -
+    C1 psi_bar - C2 psi_bar' = 0, then n pins of B_m.
+    """
+    n, m = sites.n, len(sites)
+    dim = 2 * n * (m + 1)
+    mat = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(n)
+    mat[:n, :n] = eye
+    mat[-n:, -n:] = eye
+    for t, (x, c) in enumerate(sites.sites):
+        e = np.exp(1j * k * x)
+        big_e = np.hstack([e * eye, np.conj(e) * eye])
+        big_d = 1j * k * np.hstack([e * eye, -np.conj(e) * eye])
+        rows = slice(n + 2 * n * t, n + 2 * n * (t + 1))
+        for side, cols in ((-1.0, slice(2 * n * t, 2 * n * (t + 1))),
+                           (1.0, slice(2 * n * (t + 1), 2 * n * (t + 2)))):
+            mat[rows, cols] = np.vstack([
+                side * big_e + c.c2 @ big_e / 2 + c.c3 @ big_d / 2,
+                side * big_d - c.c1 @ big_e / 2 - c.c2 @ big_d / 2])
+    rhs = np.zeros((dim, 2 * n), dtype=complex)
+    rhs[:n, :n] = eye
+    rhs[-n:, n:] = eye
+    sol = np.linalg.solve(mat, rhs)
+    return np.vstack([sol[-2 * n:-n], sol[n:2 * n]])  # [A_m; B_0]
+
+
 def complex_hermitian_array(rng, m, n):
     """m sites of n x n couplings with imaginary off-diagonal parts."""
     def herm():
@@ -89,9 +122,10 @@ class TestTypes:
 
 class TestSingleSite:
     def test_matches_closed_form_s_matrix(self):
-        for g in [(2.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-1.5, 0.7, 2.2)]:
+        for g in [(2.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-1.5, 0.7, 2.2),
+                  (0.3, 0.0, 1.0)]:
             arr = SiteArray([scalar_site(*g)])
-            for k in (0.5, 1.0, 3.7):
+            for k in (0.5, 1.0, 3.7, 1e4, 1e6, 1e8):
                 s_ref = pointcore.s_matrix(g, k)
                 s = channels.full_s_matrix(arr, k)
                 np.testing.assert_allclose(s, s_ref, atol=1e-13)
@@ -178,6 +212,47 @@ class TestMultiSite:
                         s[:n, col], sol.outgoing_right, atol=1e-13)
                     np.testing.assert_allclose(
                         s[n:, col], sol.outgoing_left, atol=1e-13)
+
+    def test_matches_dense_matching_system(self):
+        # an oracle the cascade was not derived from: one global system
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3):
+            for m in (1, 2, 7, 30):
+                arr = complex_hermitian_array(rng, m, n)
+                for k in (0.4, 1.3, 3.1):
+                    np.testing.assert_allclose(
+                        channels.full_s_matrix(arr, k),
+                        dense_matching_s_matrix(arr, k), rtol=0, atol=1e-12)
+
+
+class TestGuard:
+    def test_well_posed_pair_at_large_k_is_not_flagged(self):
+        arr = SiteArray([scalar_site(g1=1.0, position=0.0),
+                         scalar_site(g1=-0.3, position=1.0)])
+        s = channels.full_s_matrix(arr, 1e13)
+        np.testing.assert_allclose(s @ s.conj().T, np.eye(2), atol=1e-12)
+
+    def test_dirichlet_box_grid_mask(self):
+        arr = SiteArray([scalar_site(g2=2.0, position=0.0),
+                         scalar_site(g2=-2.0, position=1.0)])
+        ks = np.array([1.0, 1.3, 2.0]) * math.pi
+        s, singular = channels.full_s_matrix_grid(arr, ks)
+        assert s.shape == (3, 2, 2)
+        assert singular.tolist() == [True, False, True]
+        for k, s_k, flagged in zip(ks, s, singular):
+            if flagged:
+                assert np.all(np.isnan(s_k))
+                with pytest.raises(SingularSystem):
+                    channels.full_s_matrix(arr, k)
+            else:
+                np.testing.assert_array_equal(
+                    s_k, channels.full_s_matrix(arr, k))
+
+    def test_overflow_is_singular(self):
+        arr = SiteArray([scalar_site(g3=1e200, position=0.0),
+                         scalar_site(g1=1.0, position=1.0)])
+        with pytest.raises(SingularSystem):
+            channels.full_s_matrix(arr, 1e300)
 
 
 class TestTwoChannels:

@@ -150,6 +150,16 @@ class TestScatter:
         assert json.loads(out) == [{"k": math.pi, "mode": "left",
                                     "singular": True}]
 
+    def test_overflow_row_is_flagged(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "sites": [{"position": 0.0, "g3": 1e200},
+                                   {"position": 1.0, "g1": 1.0}],
+            "k_grid": [1e300], "mode": "left"})
+        code, out = run(capsys, ["scatter", "--config", cfg])
+        assert code == 0
+        assert json.loads(out) == [{"k": 1e300, "mode": "left",
+                                    "singular": True}]
+
     def test_non_finite_input_is_config_error(self, tmp_path, capsys):
         nan = float("nan")
         for extra in ({"amplitudes": [nan]},
