@@ -43,18 +43,29 @@ __all__ = [
 _MIN_SEPARATION = 1e-9
 _ROUND_TRIP_LIMIT = 1e-12  # smallest singular value of I - r'_a r_b
 _MODES = ("left", "right", "even", "odd")
+_COUPLINGS = ("c1", "c2", "c3")
 
 
-def _as_hermitian(m, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} must be finite")
-    # relative to the matrix scale, so round-off of large couplings passes
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * np.max(np.abs(m)):
-        raise ValueError(f"{name} must be hermitian")
-    return m
+def _as_hermitian(mats, names=_COUPLINGS) -> np.ndarray:
+    """The stack mats, shape (p, n, n), as complex hermitian matrices,
+    matrix i being the coupling names[i % len(names)].  Each matrix is
+    hermitian within 1e-12 of its own largest entry, so round-off of
+    large couplings passes and asymmetry of small ones does not.  Raises
+    ValueError naming the first matrix that is not square, finite or
+    hermitian."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"{names[0]} must be a square matrix")
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        mats = np.where(finite[:, None, None], mats, 0.0)
+    asym = np.abs(mats - mats.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    good = finite & (asym <= 1e-12 * np.abs(mats).max(axis=(-2, -1)))
+    if not good.all():
+        first = int(np.argmin(good))
+        raise ValueError(f"{names[first % len(names)]} must be "
+                         + ("hermitian" if finite[first] else "finite"))
+    return mats
 
 
 @dataclass(frozen=True)
@@ -66,12 +77,15 @@ class MatrixCouplings:
     c3: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", _as_hermitian(self.c1, "c1"))
-        object.__setattr__(self, "c2", _as_hermitian(self.c2, "c2"))
-        object.__setattr__(self, "c3", _as_hermitian(self.c3, "c3"))
-        n = self.c1.shape[0]
-        if self.c2.shape[0] != n or self.c3.shape[0] != n:
+        mats = [np.asarray(c, dtype=complex)
+                for c in (self.c1, self.c2, self.c3)]
+        if not mats[0].shape == mats[1].shape == mats[2].shape:
+            for name, m in zip(_COUPLINGS, mats):
+                _as_hermitian(m[None], (name,))
             raise ValueError("coupling matrices must share one dimension")
+        stack = _as_hermitian(mats)
+        for name, m in zip(_COUPLINGS, stack):
+            object.__setattr__(self, name, m)
 
     @classmethod
     def from_scalars(cls, g1: float, g2: float, g3: float
@@ -83,41 +97,68 @@ class MatrixCouplings:
         return self.c1.shape[0]
 
 
-@dataclass(frozen=True)
-class SiteArray:
-    """Ordered interaction sites with a common channel count, also held
-    as the arrays `positions`, shape (m,), and `couplings`, shape
-    (3, m, n, n), whose entry j stacks C_{j+1} over the sites."""
+def _check_positions(positions: np.ndarray) -> None:
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("site positions must be finite")
+    if np.any(np.diff(positions) < _MIN_SEPARATION):
+        raise ValueError("site positions must be strictly increasing "
+                         f"with separation >= {_MIN_SEPARATION}")
 
-    sites: tuple
-    positions: np.ndarray = field(repr=False, compare=False)
-    couplings: np.ndarray = field(repr=False, compare=False)
+
+@dataclass(frozen=True, eq=False)
+class SiteArray:
+    """Ordered interaction sites with a common channel count, held as the
+    arrays `positions`, shape (m,), and `couplings`, shape (3, m, n, n),
+    whose entry j stacks C_{j+1} over the sites.
+
+    `SiteArray(sites)` takes (position, MatrixCouplings) pairs;
+    `SiteArray.from_arrays(positions, couplings)` takes the two arrays.
+    Both check the whole array at once.
+    """
+
+    positions: np.ndarray
+    couplings: np.ndarray
 
     def __init__(self, sites):
-        sites = tuple((float(pos), c) for pos, c in sites)
+        sites = [(float(pos), c) for pos, c in sites]
         positions = np.array([pos for pos, _ in sites])
-        if not np.all(np.isfinite(positions)):
-            raise ValueError("site positions must be finite")
-        if np.any(np.diff(positions) < _MIN_SEPARATION):
-            raise ValueError("site positions must be strictly increasing "
-                             f"with separation >= {_MIN_SEPARATION}")
         ns = {c.n for _, c in sites}
         if len(ns) > 1:
+            _check_positions(positions)
             raise ValueError("all sites must share the channel count")
         n = ns.pop() if ns else 1
         couplings = np.array([[getattr(c, name) for _, c in sites]
-                              for name in ("c1", "c2", "c3")], dtype=complex)
-        object.__setattr__(self, "sites", sites)
+                              for name in _COUPLINGS], dtype=complex)
+        self._set(positions, couplings.reshape(3, len(sites), n, n))
+
+    @classmethod
+    def from_arrays(cls, positions, couplings) -> "SiteArray":
+        """The sites at `positions`, shape (m,), with the couplings
+        (C1, C2, C3) stacked as `couplings`, shape (3, m, n, n); both
+        are copied."""
+        array = cls.__new__(cls)
+        array._set(np.array(positions, dtype=float),
+                   np.array(couplings, dtype=complex))
+        return array
+
+    def _set(self, positions: np.ndarray, couplings: np.ndarray) -> None:
+        if (positions.ndim != 1 or couplings.ndim != 4
+                or couplings.shape[:2] != (3, positions.size)):
+            raise ValueError("couplings must have shape (3, m, n, n) "
+                             "for m positions")
+        # site by site, as each site's couplings are checked in turn
+        _as_hermitian(couplings.swapaxes(0, 1).reshape(
+            (3 * positions.size,) + couplings.shape[2:]))
+        _check_positions(positions)
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "couplings",
-                           couplings.reshape(3, len(sites), n, n))
+        object.__setattr__(self, "couplings", couplings)
 
     @property
     def n(self) -> int:
         return self.couplings.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.sites)
+        return self.positions.size
 
 
 @dataclass(frozen=True)
@@ -126,7 +167,8 @@ class IncidentWave:
 
     Modes: 'left' and 'right' are travelling waves entering from one
     side; 'even' and 'odd' are the parity combinations cos(kx) and
-    sin(kx) scaled by the channel amplitude vector.
+    sin(kx) scaled by the channel amplitude vector.  k may be one
+    wavenumber or an array of them, one wave of each.
     """
 
     k: float
@@ -134,7 +176,10 @@ class IncidentWave:
     amplitudes: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        check_k(self.k)
+        if np.ndim(self.k):
+            _spectral_grid(self.k)
+        else:
+            check_k(self.k)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         amps = self.amplitudes
@@ -146,22 +191,28 @@ class IncidentWave:
             raise ValueError("channel amplitudes must have unit norm")
         object.__setattr__(self, "amplitudes", amps)
 
-    def endpoint_amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Incoming plane-wave coefficients (A_0, B_m) for this mode."""
+    def pins(self, n: int) -> np.ndarray:
+        """The incoming plane-wave coefficients [A_0; B_m] of this mode
+        on an n-channel array."""
         a = self.amplitudes
+        if a.size != n:
+            raise ValueError("incident amplitude dimension does not match "
+                             "the site array channel count")
         zero = np.zeros_like(a)
         if self.mode == "left":
-            return a, zero
+            return np.concatenate([a, zero])
         if self.mode == "right":
-            return zero, a
+            return np.concatenate([zero, a])
         if self.mode == "even":
-            return a / 2.0, a / 2.0
-        return a / 2.0j, -a / 2.0j  # odd: sin(kx) = (e^{ikx}-e^{-ikx})/2i
+            return np.concatenate([a / 2.0, a / 2.0])
+        # odd: sin(kx) = (e^{ikx} - e^{-ikx}) / 2i
+        return np.concatenate([a / 2.0j, -a / 2.0j])
 
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Outgoing amplitudes and derived per-channel probabilities."""
+    """Outgoing amplitudes and derived per-channel probabilities, at
+    one wavenumber or, with a leading axis, at each of an array."""
 
     k: float
     outgoing_left: np.ndarray  # B_0
@@ -172,16 +223,15 @@ class ScatteringSolution:
 
     @classmethod
     def from_s_matrix(cls, s: np.ndarray, incident: IncidentWave):
-        """[A_m; B_0] = s [A_0; B_m], for the S-matrix s at incident.k."""
+        """[A_m; B_0] = s [A_0; B_m], for the S-matrix s at incident.k,
+        or for a stack of them, shape k.shape + (2n, 2n)."""
         n = s.shape[-1] // 2
-        if incident.amplitudes.size != n:
-            raise ValueError("incident amplitude dimension does not match "
-                             "the site array channel count")
-        pins = np.concatenate(incident.endpoint_amplitudes())
+        pins = incident.pins(n)
         out = s @ pins
         prob = np.abs(out) ** 2
-        return cls(incident.k, out[n:], out[:n], prob[n:], prob[:n],
-                   float(prob.sum() - np.sum(np.abs(pins) ** 2)))
+        return cls(incident.k, out[..., n:], out[..., :n], prob[..., n:],
+                   prob[..., :n],
+                   prob.sum(axis=-1) - np.sum(np.abs(pins) ** 2))
 
 
 def _site_s_matrices(sites: SiteArray, k: np.ndarray):

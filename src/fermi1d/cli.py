@@ -102,10 +102,30 @@ def cmd_smatrix(config: dict) -> dict:
             "unitarity_residual": unit}
 
 
+def _stacked_sites(raw: list) -> channels.SiteArray:
+    """The sites of a well-formed config as one positions list and one
+    coupling stack, checked once; scalar sites are 1 x 1 matrices."""
+    positions, couplings = [], ([], [], [])
+    for entry in raw:
+        positions.append(float(entry["position"]))
+        for stack, c, g in zip(couplings, ("c1", "c2", "c3"),
+                               ("g1", "g2", "g3")):
+            stack.append(entry[c] if "c1" in entry
+                         else [[float(entry.get(g, 0.0))]])
+    return channels.SiteArray.from_arrays(positions, couplings)
+
+
 def _site_array(config: dict) -> channels.SiteArray:
     raw = config.get("sites")
     if not isinstance(raw, list):
         raise ConfigError("'sites' must be a list")
+    if raw:
+        try:
+            return _stacked_sites(raw)
+        except (KeyError, TypeError, ValueError):
+            # malformed: reading it site by site below raises the error
+            # of the first bad site, in the order the checks meet it
+            pass
     sites = []
     for entry in raw:
         try:
@@ -136,24 +156,27 @@ def cmd_scatter(config: dict) -> list[dict]:
     if amps is not None:
         amps = np.array([_parse_cnum(a, "amplitude") for a in amps])
     k_grid = _grid(config, "k_grid")
+    try:
+        wave = channels.IncidentWave(k_grid, mode, amps)
+        wave.pins(sites.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     s, singular = channels.full_s_matrix_grid(sites, k_grid)
+    sol = channels.ScatteringSolution.from_s_matrix(s, wave)
+
+    def pairs(z):
+        return np.stack([z.real, z.imag], axis=-1).tolist()
+
     rows = []
-    for k, s_k, flagged in zip(k_grid.tolist(), s, singular.tolist()):
-        try:
-            wave = channels.IncidentWave(k, mode, amps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # checks the channel count at flagged k too (their S is NaN)
-        sol = channels.ScatteringSolution.from_s_matrix(s_k, wave)
+    for k, flagged, left, right, refl, trans, flux in zip(
+            k_grid.tolist(), singular.tolist(), pairs(sol.outgoing_left),
+            pairs(sol.outgoing_right), sol.reflection.tolist(),
+            sol.transmission.tolist(), sol.flux_residual.tolist()):
         row = {"k": k, "mode": mode, "singular": flagged}
         if not flagged:
-            row.update({
-                "outgoing_left": [_cnum(v) for v in sol.outgoing_left],
-                "outgoing_right": [_cnum(v) for v in sol.outgoing_right],
-                "reflection": [float(v) for v in sol.reflection],
-                "transmission": [float(v) for v in sol.transmission],
-                "flux_residual": sol.flux_residual,
-            })
+            row.update({"outgoing_left": left, "outgoing_right": right,
+                        "reflection": refl, "transmission": trans,
+                        "flux_residual": flux})
         rows.append(row)
     return rows
 

@@ -282,9 +282,9 @@ def default_suite() -> dict:
                                          (1.0, -0.5, 2.0), 1.3)]:
             t, r = transfer_matrix_oracle(list(zip(positions, strengths)),
                                           k)
-            arr = channels.SiteArray(
-                [(pos, channels.MatrixCouplings.from_scalars(s, 0.0, 0.0))
-                 for pos, s in zip(positions, strengths)])
+            couplings = np.zeros((3, len(strengths), 1, 1))
+            couplings[0, :, 0, 0] = strengths
+            arr = channels.SiteArray.from_arrays(positions, couplings)
             sol = channels.solve_scattering(
                 arr, channels.IncidentWave(k, "left"))
             worst = max(worst,

@@ -29,7 +29,8 @@ def dense_matching_s_matrix(sites, k):
     eye = np.eye(n)
     mat[:n, :n] = eye
     mat[-n:, -n:] = eye
-    for t, (x, c) in enumerate(sites.sites):
+    for t, x in enumerate(sites.positions):
+        c1, c2, c3 = sites.couplings[:, t]
         e = np.exp(1j * k * x)
         big_e = np.hstack([e * eye, np.conj(e) * eye])
         big_d = 1j * k * np.hstack([e * eye, -np.conj(e) * eye])
@@ -37,8 +38,8 @@ def dense_matching_s_matrix(sites, k):
         for side, cols in ((-1.0, slice(2 * n * t, 2 * n * (t + 1))),
                            (1.0, slice(2 * n * (t + 1), 2 * n * (t + 2)))):
             mat[rows, cols] = np.vstack([
-                side * big_e + c.c2 @ big_e / 2 + c.c3 @ big_d / 2,
-                side * big_d - c.c1 @ big_e / 2 - c.c2 @ big_d / 2])
+                side * big_e + c2 @ big_e / 2 + c3 @ big_d / 2,
+                side * big_d - c1 @ big_e / 2 - c2 @ big_d / 2])
     rhs = np.zeros((dim, 2 * n), dtype=complex)
     rhs[:n, :n] = eye
     rhs[-n:, n:] = eye
@@ -79,6 +80,14 @@ class TestTypes:
         with pytest.raises(ValueError, match="c3 must be hermitian"):
             MatrixCouplings(zero, zero, 1e-6 * np.array(
                 [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        # checked as one stack, each matrix against its own scale: a
+        # global scale of 1e6 would pass the second site's asymmetry
+        couplings = np.zeros((3, 2, 3, 3))
+        couplings[0] = m, 1e-6 * np.eye(3)
+        SiteArray.from_arrays([0.0, 1.0], couplings)
+        couplings[0, 1, 0, 1] += 1e-12
+        with pytest.raises(ValueError, match="c1 must be hermitian"):
+            SiteArray.from_arrays([0.0, 1.0], couplings)
 
     def test_sites_must_share_channel_count(self):
         two = MatrixCouplings(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fermi1d import cli, pointcore
+from fermi1d import channels, cli, pointcore
 from fermi1d.cli import main
 from fermi1d.errors import PoleAtSpectralPoint
 
@@ -169,6 +169,92 @@ class TestScatter:
                 "k_grid": [1.0], "mode": "left", **extra})
             code, _ = run(capsys, ["scatter", "--config", cfg])
             assert code == 2
+
+    def test_amplitude_count_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "schema": 1, "sites": [{"position": 0.0, "g1": 2.0}],
+            "k_grid": [1.0], "mode": "left", "amplitudes": [0.6, 0.8]})
+        assert main(["scatter", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: incident amplitude dimension "
+                                "does not match the site array channel "
+                                "count\n")
+
+    @pytest.mark.parametrize("case", ["non_hermitian_c2", "ragged_c1",
+                                      "non_square_c3", "nan_in_c3",
+                                      "mixed_channel_counts", "unordered"])
+    def test_matrix_site_errors(self, tmp_path, capsys, case):
+        eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
+
+        def site(position, **c):
+            return {"position": position, "c1": eye, "c2": zero,
+                    "c3": zero, **c}
+
+        ragged = [[1.0, 0.0], [0.0]]
+        with pytest.raises(ValueError) as numpy_error:
+            np.array(ragged, dtype=complex)
+        sites, message = {
+            "non_hermitian_c2": ([site(0.0, c2=[[0.0, 1.0], [0.0, 0.0]])],
+                                 "bad site entry: c2 must be hermitian"),
+            "ragged_c1": ([site(0.0, c1=ragged)],
+                          f"bad site entry: {numpy_error.value}"),
+            "non_square_c3": ([site(0.0, c3=[[1.0, 0.0, 0.0],
+                                             [0.0, 1.0, 0.0]])],
+                              "bad site entry: c3 must be a square matrix"),
+            "nan_in_c3": ([site(0.0), site(1.0, c3=[[1.0, float("nan")],
+                                                   [float("nan"), 0.0]])],
+                          "bad site entry: c3 must be finite"),
+            "mixed_channel_counts": ([{"position": 0.0, "g1": 1.0},
+                                      site(1.0)],
+                                     "all sites must share the channel "
+                                     "count"),
+            "unordered": ([site(1.0), site(0.5)],
+                          "site positions must be strictly increasing "
+                          "with separation >= 1e-09"),
+        }[case]
+        cfg = write_config(tmp_path, {"schema": 1, "sites": sites,
+                                      "k_grid": [1.0], "mode": "left",
+                                      "amplitudes": [0.6, 0.8]})
+        assert main(["scatter", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mode", ["left", "right", "even", "odd"])
+    def test_multichannel_rows_match_single_solves(self, tmp_path, capsys,
+                                                   n, mode):
+        rng = np.random.default_rng(10 * n + len(mode))
+        entries = []
+        for position in np.cumsum(rng.uniform(0.3, 1.2, 6)):
+            entry = {"position": float(position)}
+            for key in ("c1", "c2", "c3"):
+                a = rng.normal(size=(n, n))
+                entry[key] = ((a + a.T) / 2.0).tolist()
+            entries.append(entry)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amps /= np.linalg.norm(amps)
+        k_grid = sorted(rng.uniform(0.2, 4.0, 5).tolist())
+        cfg = write_config(tmp_path, {"schema": 1, "sites": entries,
+                                      "mode": mode, "k_grid": k_grid,
+                                      "amplitudes": [cnum(a) for a in amps]})
+        code, out = run(capsys, ["scatter", "--config", cfg])
+        assert code == 0
+        arr = channels.SiteArray([
+            (e["position"], channels.MatrixCouplings(
+                np.array(e["c1"]), np.array(e["c2"]), np.array(e["c3"])))
+            for e in entries])
+        expected = []
+        for k in k_grid:
+            sol = channels.solve_scattering(
+                arr, channels.IncidentWave(k, mode, amps))
+            expected.append({
+                "k": k, "mode": mode, "singular": False,
+                "outgoing_left": [cnum(v) for v in sol.outgoing_left],
+                "outgoing_right": [cnum(v) for v in sol.outgoing_right],
+                "reflection": [float(v) for v in sol.reflection],
+                "transmission": [float(v) for v in sol.transmission],
+                "flux_residual": float(sol.flux_residual)})
+        assert json.loads(out) == expected
 
 
 class TestMemory:
