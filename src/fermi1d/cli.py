@@ -154,7 +154,12 @@ def cmd_scatter(config: dict) -> list[dict]:
     mode = config.get("mode", "left")
     amps = config.get("amplitudes")
     if amps is not None:
-        amps = np.array([_parse_cnum(a, "amplitude") for a in amps])
+        if not isinstance(amps, list):
+            raise ConfigError("'amplitudes' must be a list")
+        try:
+            amps = np.array([_parse_cnum(a, "amplitude") for a in amps])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"amplitude: {exc}") from exc
     k_grid = _grid(config, "k_grid")
     try:
         wave = channels.IncidentWave(k_grid, mode, amps)
@@ -221,7 +226,13 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
             event["plan"] = [{"parity": o.parity, "k": o.k} for o in plan]
             event["write_error"] = state.distance_up_to_phase(target)
         elif op == "read":
-            sigma = float(cmd.get("noise_sigma", 0.0))
+            try:
+                sigma = float(cmd.get("noise_sigma", 0.0))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"script entry {idx}: {exc}") from exc
+            if not 0.0 <= sigma < float("inf"):
+                raise ConfigError(f"script entry {idx}: 'noise_sigma' must "
+                                  f"be a finite number >= 0")
             before = state
             obs, recovered, state = qmemory.read_protocol(
                 state, standard, g1, g3, noise_sigma=sigma, rng=rng)

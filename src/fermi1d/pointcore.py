@@ -288,24 +288,14 @@ def constants_from_couplings(g) -> ResolventConstants:
                          "representation")
 
 
-def _quads_from_denominator(t: float, num: float, c: ResolventConstants,
-                            kappa: float, pole_tol: float,
-                            scale: float) -> ResolventQuad:
-    if abs(t) < pole_tol * scale:
-        raise PoleAtSpectralPoint(kappa)
-    return ResolventQuad((-num - 2.0 * c.c3) / t,
-                         1.0 - 2.0 * c.c2 / t,
-                         (-num + 2.0 * c.c3) / t,
-                         1.0 - 2.0 * c.c4 / t)
-
-
 def resolvent_from_constants(c: ResolventConstants, kappa: float,
                              pole_tol: float = 1e-12) -> ResolventQuad:
     """Evaluate the constants-family quads at kappa > 0.
 
     The generic family branches on the sign of the discriminant; the
     limiting families are first-degree rational in kappa.  All square
-    roots are taken positive.
+    roots are taken positive.  Each family sets the denominator t, the
+    numerator num, the weight w of the constants and the pole scale.
     """
     kappa = _check_kappa(kappa)
     if c.family == FAMILY_GENERIC:
@@ -322,26 +312,22 @@ def resolvent_from_constants(c: ResolventConstants, kappa: float,
         else:
             raise ValueError("generic family with zero discriminant; "
                              "use a limiting family")
+        w = 1.0
         scale = abs(s) * (u + 1.0 / u) + 2.0 * abs(c.c1)
-        return _quads_from_denominator(t, num, c, kappa, pole_tol, scale)
-    if c.family == FAMILY_SMALL_SCALE:
+    elif c.family == FAMILY_SMALL_SCALE:
         t = c.gamma + 2.0 * c.c1 * kappa
-        scale = c.gamma + 2.0 * abs(c.c1) * kappa
-        if abs(t) < pole_tol * max(scale, 1.0):
-            raise PoleAtSpectralPoint(kappa)
-        return ResolventQuad((c.gamma - 2.0 * c.c3 * kappa) / t,
-                             1.0 - 2.0 * c.c2 * kappa / t,
-                             (c.gamma + 2.0 * c.c3 * kappa) / t,
-                             1.0 - 2.0 * c.c4 * kappa / t)
-    # large-scale limit
-    t = c.gamma * kappa + 2.0 * c.c1
-    scale = c.gamma * kappa + 2.0 * abs(c.c1)
-    if abs(t) < pole_tol * max(scale, 1.0):
+        num, w = -c.gamma, kappa
+        scale = max(c.gamma + 2.0 * abs(c.c1) * kappa, 1.0)
+    else:  # large-scale limit
+        t = c.gamma * kappa + 2.0 * c.c1
+        num, w = c.gamma * kappa, 1.0
+        scale = max(c.gamma * kappa + 2.0 * abs(c.c1), 1.0)
+    if abs(t) < pole_tol * scale:
         raise PoleAtSpectralPoint(kappa)
-    return ResolventQuad((-c.gamma * kappa - 2.0 * c.c3) / t,
-                         1.0 - 2.0 * c.c2 / t,
-                         (-c.gamma * kappa + 2.0 * c.c3) / t,
-                         1.0 - 2.0 * c.c4 / t)
+    return ResolventQuad((-num - 2.0 * c.c3 * w) / t,
+                         1.0 - 2.0 * c.c2 * w / t,
+                         (-num + 2.0 * c.c3 * w) / t,
+                         1.0 - 2.0 * c.c4 * w / t)
 
 
 def greens_function(g, kappa: float, x: float, xp: float,

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     Ambiguous,
@@ -470,9 +469,16 @@ def _polish(initial: MemoryState, obs: Observables, s: MemoryState
     theta1 = cmath.phase(initial.a1) if p > 1e-12 else 0.0
     delta = theta1 - cmath.phase(initial.a2) if abs(initial.a2) > 1e-12 \
         else 0.0
-    fit = least_squares(residuals, x0=[u0, theta1, delta],
-                        method="lm", xtol=1e-15, ftol=1e-15)
-    return unpack(fit.x)
+    x = np.array([u0, theta1, delta])
+    for _ in range(10):  # Gauss-Newton, MINPACK's forward differences
+        r = residuals(x)
+        h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        jac = np.transpose([residuals(x + dx) - r for dx in np.diag(h)]) / h
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        x = x + step
+        if np.max(np.abs(step)) < 1e-12:
+            break
+    return unpack(x)
 
 
 def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import pointcore
 from .errors import LogDomain, QuadratureFailure
@@ -82,6 +81,7 @@ def resolvent_residual_integral(g, kappa1: float, kappa2: float,
     exp(-(k1+k2)L) falls below half the tolerance; returns the max
     absolute residual over the sampled (x, x') pairs.
     """
+    from scipy.integrate import quad  # QUADPACK: only this oracle loads scipy
     if kappa1 == kappa2:
         raise ValueError("the identity needs two distinct spectral points")
     if pairs is None:

@@ -163,7 +163,8 @@ class TestScatter:
     def test_non_finite_input_is_config_error(self, tmp_path, capsys):
         nan = float("nan")
         for extra in ({"amplitudes": [nan]},
-                      {"sites": [{"position": 0.0, "g1": nan}]}):
+                      {"sites": [{"position": 0.0, "g1": nan}]},
+                      {"amplitudes": 5}, {"amplitudes": [["a", "b"]]}):
             cfg = write_config(tmp_path, {
                 "schema": 1, "sites": [{"position": 0.0, "g1": 2.0}],
                 "k_grid": [1.0], "mode": "left", **extra})
@@ -291,6 +292,13 @@ class TestMemory:
         code, out = run(capsys, ["memory", "--config", cfg])
         assert code == 0
         assert json.loads(out) == []
+
+    def test_bad_noise_sigma_is_config_error(self, tmp_path, capsys):
+        for sigma in ("abc", -1.0, float("nan")):
+            cfg = self.make_config(tmp_path, sigma=sigma)
+            code, out = run(capsys, ["memory", "--config", cfg])
+            assert code == 2
+            assert out == ""
 
     def test_bad_script_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "g1": 2.0, "g3": 2.0,

@@ -26,6 +26,31 @@ def random_state(rng):
     return qm.MemoryState.from_vec(v / np.linalg.norm(v))
 
 
+def lm_polish(initial, obs, s):
+    """Reference polish: qmemory._polish solved by MINPACK's LM."""
+    from scipy.optimize import least_squares
+
+    weights = np.array([1.0, 1.0, 100.0, 100.0])
+    targets = np.array([obs.A1, obs.A2, obs.A3, obs.A4])
+
+    def unpack(params):
+        u, theta1, delta = params
+        return qm.MemoryState(math.cos(u) * cmath.exp(1j * theta1),
+                              math.sin(u) * cmath.exp(1j * (theta1 - delta)))
+
+    def residuals(params):
+        return weights * (qm._predict(unpack(params), s) - targets)
+
+    p = abs(initial.a1)
+    u0 = math.acos(min(max(p, 0.0), 1.0))
+    theta1 = cmath.phase(initial.a1) if p > 1e-12 else 0.0
+    delta = theta1 - cmath.phase(initial.a2) if abs(initial.a2) > 1e-12 \
+        else 0.0
+    fit = least_squares(residuals, x0=[u0, theta1, delta],
+                        method="lm", xtol=1e-15, ftol=1e-15)
+    return unpack(fit.x)
+
+
 class TestScattering:
     def test_odd_quarter_turn(self):
         state = qm.MemoryState(1.0, 0.0)
@@ -208,6 +233,24 @@ class TestProtocol:
         with pytest.raises(ZeroCoupling):
             qm.read_protocol(qm.STANDARD_STATE, qm.STANDARD_STATE,
                              0.0, 1.0)
+
+    def test_polish_matches_levenberg_marquardt(self):
+        # The Gauss-Newton polish and MINPACK's LM, both from the
+        # candidate the read starts at, reach the same state.
+        rng = np.random.default_rng(2608)
+        s = qm.STANDARD_STATE
+        for _ in range(200):
+            state = random_state(rng)
+            g1, g3 = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 4.0, 2)
+            obs, recovered, _ = qm.read_protocol(
+                state, s, g1, g3, noise_sigma=1e-4, rng=rng)
+            assert recovered.distance_up_to_phase(state) <= 1e-3
+            # 5e-3 is the read's tolerance max(1e-6, 50 sigma)
+            initial = qm._closest_candidate(obs, s, 5e-3)[0]
+            polished = qm._polish(initial, obs, s)
+            assert np.array_equal(polished.vec, recovered.vec)
+            reference = lm_polish(initial, obs, s)
+            assert np.max(np.abs(polished.vec - reference.vec)) <= 1e-8
 
 
 class TestAdmissibility:

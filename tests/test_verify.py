@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fermi1d
 from fermi1d import pointcore, verify
 from fermi1d.errors import LogDomain
 from fermi1d.pointcore import ResolventConstants
@@ -85,6 +90,17 @@ class TestSuite:
     def test_default_suite_passes(self):
         for report in verify.run_suite():
             assert report.passed, (report.name, report.max_residual)
+
+    def test_cli_import_loads_no_scipy(self):
+        # Only the quadrature oracle imports scipy, on first use;
+        # test_default_suite_passes runs that oracle in-process.
+        src = os.path.dirname(os.path.dirname(fermi1d.__file__))
+        code = ("import sys, fermi1d.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
     def test_corrupted_self_test_fails(self):
         report = verify.default_suite()["corrupted_self_test"]()
