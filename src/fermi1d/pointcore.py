@@ -109,11 +109,11 @@ class ResolventQuad:
         return np.array([self.f1, self.f2, self.f3, self.f4])
 
 
-def quad_sector(quad: ResolventQuad, sx: int, sxp: int) -> float:
-    """Select the quad entry for the (sg x, sg x') quadrant."""
-    if sx > 0:
-        return quad.f1 if sxp > 0 else quad.f4
-    return quad.f2 if sxp > 0 else quad.f3
+def quad_sector(quad: ResolventQuad, sx, sxp):
+    """Select the quad entry for the (sg x, sg x') quadrant: a scalar for
+    scalar signs, an array broadcast over arrays of signs or coordinates."""
+    return np.where(sx > 0, np.where(sxp > 0, quad.f1, quad.f4),
+                    np.where(sxp > 0, quad.f2, quad.f3))[()]
 
 
 @dataclass(frozen=True)
@@ -330,26 +330,23 @@ def resolvent_from_constants(c: ResolventConstants, kappa: float,
                          1.0 - 2.0 * c.c4 * w / t)
 
 
-def greens_function(g, kappa: float, x: float, xp: float,
-                    pole_tol: float = 1e-12) -> float:
+def greens_function(g, kappa: float, x, xp, pole_tol: float = 1e-12):
     """Green's function R_kappa(x, x') of the point interaction.
 
-    Both coordinates must be nonzero so their sign sector is defined.
+    Broadcasts over arrays x and xp from one evaluation of the quads; a
+    float for scalar input.  No coordinate may be 0, so that every sign
+    sector is defined.
     """
-    g = _as_couplings(g)
-    kappa = _check_kappa(kappa)
-    x = float(x)
-    xp = float(xp)
-    if x == 0.0 or xp == 0.0:
+    quad = resolvent_from_couplings(g, kappa, pole_tol=pole_tol)
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(xp, dtype=float)
+    if np.any(x == 0.0) or np.any(xp == 0.0):
         raise SignUndefined("coordinates must not sit at the interaction "
                             "point")
-    if g.g1 == 0.0 and g.g2 == 0.0 and g.g3 == 0.0:
-        f = 0.0
-    else:
-        quad = resolvent_from_couplings(g, kappa, pole_tol=pole_tol)
-        f = quad_sector(quad, 1 if x > 0 else -1, 1 if xp > 0 else -1)
-    return (math.exp(-kappa * abs(x - xp))
-            - f * math.exp(-kappa * (abs(x) + abs(xp)))) / (2.0 * kappa)
+    f = quad_sector(quad, x, xp)
+    r = (np.exp(-kappa * abs(x - xp))
+         - f * np.exp(-kappa * (abs(x) + abs(xp)))) / (2.0 * kappa)
+    return float(r) if r.ndim == 0 else r
 
 
 # Complex arithmetic on (re, im) pairs, rounded as CPython rounds it: a

@@ -470,12 +470,15 @@ def _polish(initial: MemoryState, obs: Observables, s: MemoryState
     delta = theta1 - cmath.phase(initial.a2) if abs(initial.a2) > 1e-12 \
         else 0.0
     x = np.array([u0, theta1, delta])
+    r = residuals(x)
     for _ in range(10):  # Gauss-Newton, MINPACK's forward differences
-        r = residuals(x)
         h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
         jac = np.transpose([residuals(x + dx) - r for dx in np.diag(h)]) / h
         step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        x = x + step
+        r_step = residuals(x + step)
+        if np.linalg.norm(r_step) >= np.linalg.norm(r):
+            break  # at the rounding floor: keep x
+        x, r = x + step, r_step
         if np.max(np.abs(step)) < 1e-12:
             break
     return unpack(x)

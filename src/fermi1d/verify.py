@@ -9,6 +9,7 @@ equation, and (for delta-only arrays) textbook transfer matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,29 +60,48 @@ def resolvent_residual_closed(provider, kappa1: float, kappa2: float
     q2 = provider(kappa2)
     dm = kappa1 - kappa2
     dp = kappa1 + kappa2
-    out = np.empty(4)
-    for idx, (sx, sxp) in enumerate(((1, 1), (-1, 1), (-1, -1), (1, -1))):
-        val = (quad_sector(q1, sx, sxp) / dm
-               + quad_sector(q1, sx, -sxp) / dp
-               - quad_sector(q2, sx, sxp) / dm
-               + quad_sector(q2, -sx, sxp) / dp
-               - (quad_sector(q1, sx, -1) * quad_sector(q2, -1, sxp)
-                  + quad_sector(q1, sx, 1) * quad_sector(q2, 1, sxp)) / dp)
-        out[idx] = abs(val)
-    return out
+    # the sign sectors of f1, f2, f3, f4
+    sx, sxp = np.array([1, -1, -1, 1]), np.array([1, 1, -1, -1])
+    return np.abs(quad_sector(q1, sx, sxp) / dm
+                  + quad_sector(q1, sx, -sxp) / dp
+                  - quad_sector(q2, sx, sxp) / dm
+                  + quad_sector(q2, -sx, sxp) / dp
+                  - (quad_sector(q1, sx, -1) * quad_sector(q2, -1, sxp)
+                     + quad_sector(q1, sx, 1) * quad_sector(q2, 1, sxp)) / dp)
+
+
+def _overlap_integral(g, kappa1: float, kappa2: float, x: float, xp: float,
+                      truncation: float, tolerance: float) -> float:
+    """Integral of R_{k1}(x, t) R_{k2}(t, x') over the least interval
+    holding +-truncation, x and x'.  Between the kinks 0, x, x' the
+    integrand is a sum of exponentials; a 20-point Gauss-Legendre rule sums
+    it on panels at most w/2 = 1/(k1+k2) wide.  Raises QuadratureFailure if
+    the error estimate |I(w) - I(w/2)| exceeds the tolerance."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    kinks = np.unique([-truncation, 0.0, x, xp, truncation])
+    sums = []
+    for width in (1.0 / (kappa1 + kappa2), 2.0 / (kappa1 + kappa2)):
+        edges = np.unique(np.concatenate([
+            np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+            for lo, hi in zip(kinks, kinks[1:])]))
+        half = np.diff(edges)[:, None] / 2.0
+        t = edges[:-1, None] + half * (nodes + 1.0)
+        sums.append(float(np.sum(
+            half * weights * pointcore.greens_function(g, kappa1, x, t)
+            * pointcore.greens_function(g, kappa2, t, xp))))
+    err = abs(sums[0] - sums[1])
+    if not err <= tolerance:
+        raise QuadratureFailure(
+            f"quadrature error estimate {err:g} exceeds {tolerance:g}")
+    return sums[0]
 
 
 def resolvent_residual_integral(g, kappa1: float, kappa2: float,
                                 pairs=None, truncation: float | None = None,
                                 tolerance: float = 1e-8) -> float:
-    """Residual of the defining integral identity by adaptive quadrature.
-
-    Integrates R_{k1}(x, x'') R_{k2}(x'', x') over x'', splitting at the
-    kinks 0, x, x' and truncating where the analytic tail bound
-    exp(-(k1+k2)L) falls below half the tolerance; returns the max
-    absolute residual over the sampled (x, x') pairs.
-    """
-    from scipy.integrate import quad  # QUADPACK: only this oracle loads scipy
+    """Residual of the defining integral identity by Gauss-Legendre
+    quadrature, truncated at L where the analytic tail bound exp(-(k1+k2)L)
+    falls below half the tolerance: the max over the (x, x') pairs."""
     if kappa1 == kappa2:
         raise ValueError("the identity needs two distinct spectral points")
     if pairs is None:
@@ -89,32 +109,12 @@ def resolvent_residual_integral(g, kappa1: float, kappa2: float,
     if truncation is None:
         truncation = max(40.0,
                          math.log(2.0 / tolerance) / (kappa1 + kappa2))
-
-    def r(kappa, x, xp):
-        return pointcore.greens_function(g, kappa, x, xp)
-
-    worst = 0.0
-    for x, xp in pairs:
-        kinks = sorted({-truncation, 0.0, x, xp, truncation})
-        kinks = [t for t in kinks if -truncation <= t <= truncation]
-        total = 0.0
-        total_err = 0.0
-        for lo, hi in zip(kinks, kinks[1:]):
-            if hi - lo < 1e-14:
-                continue
-            val, err = quad(
-                lambda t: r(kappa1, x, t) * r(kappa2, t, xp),
-                lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-            total += val
-            total_err += err
-        if total_err > tolerance:
-            raise QuadratureFailure(
-                f"quadrature error estimate {total_err:g} exceeds "
-                f"{tolerance:g}")
-        residual = (r(kappa1, x, xp) - r(kappa2, x, xp)
-                    + (kappa1 ** 2 - kappa2 ** 2) * total)
-        worst = max(worst, abs(residual))
-    return worst
+    r = functools.partial(pointcore.greens_function, g)
+    residuals = [r(kappa1, x, xp) - r(kappa2, x, xp)
+                 + (kappa1 ** 2 - kappa2 ** 2) * _overlap_integral(
+                     g, kappa1, kappa2, x, xp, truncation, tolerance)
+                 for x, xp in pairs]
+    return float(np.max(np.abs(residuals), initial=0.0))
 
 
 def _derivative(fn, x: float, h: float) -> float:

@@ -177,6 +177,19 @@ class TestGreensFunction:
         b = pointcore.greens_function(g, 1.3, -0.4, 0.7)
         assert a == pytest.approx(b, abs=1e-15)
 
+    def test_broadcasts_over_coordinates(self):
+        g = (1.0, 2.0, 3.0)
+        x = np.array([0.7, -0.4, -1.1, 1.5])[:, None]
+        xp = np.array([1.3, 0.9, -0.6, -0.8, 2.5])
+        grid = pointcore.greens_function(g, 1.3, x, xp)
+        assert grid.shape == (4, 5)
+        expected = [[pointcore.greens_function(g, 1.3, a, b) for b in xp]
+                    for a in x[:, 0]]
+        np.testing.assert_allclose(grid, expected, rtol=1e-15, atol=0.0)
+        assert type(pointcore.greens_function(g, 1.3, 0.7, -0.4)) is float
+        with pytest.raises(SignUndefined):
+            pointcore.greens_function(g, 1.3, x, np.array([1.0, 0.0]))
+
 
 class TestSMatrix:
     def test_delta_barrier(self):

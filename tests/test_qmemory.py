@@ -234,9 +234,18 @@ class TestProtocol:
             qm.read_protocol(qm.STANDARD_STATE, qm.STANDARD_STATE,
                              0.0, 1.0)
 
-    def test_polish_matches_levenberg_marquardt(self):
+    def test_polish_matches_levenberg_marquardt(self, monkeypatch):
         # The Gauss-Newton polish and MINPACK's LM, both from the
-        # candidate the read starts at, reach the same state.
+        # candidate the read starts at, reach the same state; the polish
+        # stops at the rounding floor, short of its 10-step cap.
+        steps = [0]
+        lstsq = np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            steps[0] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         rng = np.random.default_rng(2608)
         s = qm.STANDARD_STATE
         for _ in range(200):
@@ -247,7 +256,9 @@ class TestProtocol:
             assert recovered.distance_up_to_phase(state) <= 1e-3
             # 5e-3 is the read's tolerance max(1e-6, 50 sigma)
             initial = qm._closest_candidate(obs, s, 5e-3)[0]
+            steps[0] = 0
             polished = qm._polish(initial, obs, s)
+            assert steps[0] < 10
             assert np.array_equal(polished.vec, recovered.vec)
             reference = lm_polish(initial, obs, s)
             assert np.max(np.abs(polished.vec - reference.vec)) <= 1e-8

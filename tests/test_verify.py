@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import pytest
 
 import fermi1d
 from fermi1d import pointcore, verify
-from fermi1d.errors import LogDomain
-from fermi1d.pointcore import ResolventConstants
+from fermi1d.errors import LogDomain, PoleAtSpectralPoint
+from fermi1d.pointcore import ResolventConstants, ResolventQuad
 
 
 def coupling_provider(g):
@@ -16,6 +17,35 @@ def coupling_provider(g):
         return pointcore.resolvent_from_couplings(g, kappa)
 
     return provider
+
+
+def quadpack_overlap(q1, q2, kappa1, kappa2, x, xp, truncation):
+    """Reference: the integral of R_{k1}(x, t) R_{k2}(t, x') over
+    |t| <= truncation by QUADPACK, split at the kinks, with the Green's
+    function written out at scalar points from the quads."""
+    from scipy.integrate import quad
+
+    def r(q, kappa, a, b):
+        f = (q.f1 if b > 0 else q.f4) if a > 0 else (q.f2 if b > 0 else q.f3)
+        return (math.exp(-kappa * abs(a - b))
+                - f * math.exp(-kappa * (abs(a) + abs(b)))) / (2.0 * kappa)
+
+    kinks = sorted({-truncation, 0.0, x, xp, truncation})
+    return sum(quad(lambda t: r(q1, kappa1, x, t) * r(q2, kappa2, t, xp),
+                    lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(kinks, kinks[1:]))
+
+
+def run_fresh(code):
+    """Stdout of `code` run by a fresh interpreter that imports this
+    package from the same source tree."""
+    src = os.path.dirname(os.path.dirname(fermi1d.__file__))
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout
+
+
+SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
 
 
 class TestClosedIdentity:
@@ -39,6 +69,44 @@ class TestIntegralIdentity:
     def test_holds_by_quadrature(self):
         res = verify.resolvent_residual_integral((1.0, 2.0, 3.0), 1.0, 2.0)
         assert res < 1e-8
+
+    def test_matches_quadpack(self):
+        # Couplings next to a pole (|f| > 10, as in the acceptance
+        # sweeps) are skipped.
+        rng = np.random.default_rng(909)
+        checked = 0
+        while checked < 60:
+            g = tuple(rng.uniform(-5.0, 5.0, 3))
+            kappa1, kappa2 = np.exp(rng.uniform(math.log(0.05),
+                                                math.log(50.0), 2))
+            x, xp = rng.uniform(-2.0, 2.0, 2)
+            try:
+                q1 = pointcore.resolvent_from_couplings(g, kappa1)
+                q2 = pointcore.resolvent_from_couplings(g, kappa2)
+            except PoleAtSpectralPoint:
+                continue
+            if max(np.max(np.abs(q1.as_array())),
+                   np.max(np.abs(q2.as_array()))) > 10.0:
+                continue
+            truncation = max(40.0, math.log(2e8) / (kappa1 + kappa2))
+            got = verify._overlap_integral(g, kappa1, kappa2, x, xp,
+                                           truncation, 1e-8)
+            ref = quadpack_overlap(q1, q2, kappa1, kappa2, x, xp,
+                                   truncation)
+            assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), \
+                (g, kappa1, kappa2, x, xp, got, ref)
+            checked += 1
+
+    def test_flags_shifted_quads(self, monkeypatch):
+        exact = pointcore.resolvent_from_couplings
+
+        def shifted(g, kappa, pole_tol=1e-12):
+            q = exact(g, kappa, pole_tol)
+            return ResolventQuad(q.f1 + 1e-3, q.f2, q.f3, q.f4)
+
+        monkeypatch.setattr(pointcore, "resolvent_from_couplings", shifted)
+        res = verify.resolvent_residual_integral((1.0, 2.0, 3.0), 1.0, 2.0)
+        assert res > 1e-5
 
 
 class TestOdeSystem:
@@ -92,15 +160,21 @@ class TestSuite:
             assert report.passed, (report.name, report.max_residual)
 
     def test_cli_import_loads_no_scipy(self):
-        # Only the quadrature oracle imports scipy, on first use;
-        # test_default_suite_passes runs that oracle in-process.
-        src = os.path.dirname(os.path.dirname(fermi1d.__file__))
-        code = ("import sys, fermi1d.cli; "
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-        out = subprocess.run([sys.executable, "-c", code],
-                             env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, check=True)
-        assert out.stdout == "[]\n"
+        # numpy is the package's only runtime dependency; importing the
+        # CLI in a fresh process loads no scipy module.
+        assert run_fresh(f"import sys, fermi1d.cli; print({SCIPY_MODULES})"
+                         ) == "[]\n"
+
+    def test_verify_command_loads_no_scipy(self, tmp_path):
+        config = tmp_path / "verify.json"
+        config.write_text('{"schema": 1}')
+        out = tmp_path / "out.json"
+        argv = ["verify", "--config", str(config), "--out", str(out)]
+        assert run_fresh(
+            "import sys; from fermi1d.cli import main; "
+            f"code = main({argv!r}); print(code, {SCIPY_MODULES})"
+        ) == "0 []\n"
+        assert out.read_text()
 
     def test_corrupted_self_test_fails(self):
         report = verify.default_suite()["corrupted_self_test"]()
