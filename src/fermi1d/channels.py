@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularSystem
-from .pointcore import _spectral_grid, check_k
+from .pointcore import spectral_points
 
 __all__ = [
     "MatrixCouplings",
@@ -176,10 +176,7 @@ class IncidentWave:
     amplitudes: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if np.ndim(self.k):
-            _spectral_grid(self.k)
-        else:
-            check_k(self.k)
+        spectral_points(self.k)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         amps = self.amplitudes
@@ -300,7 +297,7 @@ def full_s_matrix_grid(sites: SiteArray, k) -> tuple[np.ndarray, np.ndarray]:
     the singular k, where a round-trip matrix has smallest singular value
     below 1e-12 (a trapped mode) or a site or joined S-matrix is not
     finite (an overflow).  s is NaN there."""
-    k = _spectral_grid(k)
+    k = np.asarray(spectral_points(k))
     flat = k.reshape(-1)
     with np.errstate(all="ignore"):
         s, bad = _site_s_matrices(sites, flat)

@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,12 +46,12 @@ def _grid(config: dict, key: str) -> np.ndarray:
         try:
             grid = np.linspace(float(spec["start"]), float(spec["stop"]),
                                int(spec["num"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid spec for '{key}': {exc}") from exc
     else:
         try:
             grid = np.asarray([float(v) for v in spec])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid for '{key}': {exc}") from exc
     if grid.size == 0:
         raise ConfigError(f"'{key}' must be non-empty")
@@ -61,10 +62,16 @@ def _grid(config: dict, key: str) -> np.ndarray:
 
 def _couplings(config: dict) -> tuple[float, float, float]:
     g = config.get("couplings")
-    if (not isinstance(g, (list, tuple)) or len(g) != 3
-            or not all(isinstance(v, (int, float)) for v in g)):
-        raise ConfigError("'couplings' must be three numbers")
-    return tuple(float(v) for v in g)
+    if (isinstance(g, (list, tuple)) and len(g) == 3
+            and all(isinstance(v, (int, float)) for v in g)):
+        try:
+            g = tuple(float(v) for v in g)
+        except OverflowError:       # an int too large for a float
+            pass
+        else:
+            if all(map(math.isfinite, g)):
+                return g
+    raise ConfigError("'couplings' must be three finite numbers")
 
 
 def _cnum(z: complex) -> list[float]:
@@ -82,9 +89,9 @@ def _parse_cnum(value, what: str) -> complex:
 def cmd_resolvent(config: dict) -> dict:
     g = _couplings(config)
     kappa = _grid(config, "kappa_grid")
-    quads = pointcore.resolvent_grid(g, kappa)
-    return {"kappa": kappa, "pole": quads.pole, "f1": quads.f1,
-            "f2": quads.f2, "f3": quads.f3, "f4": quads.f4}
+    quad, pole = pointcore.resolvent_grid(g, kappa)
+    return {"kappa": kappa, "pole": pole, "f1": quad.f1, "f2": quad.f2,
+            "f3": quad.f3, "f4": quad.f4}
 
 
 def cmd_smatrix(config: dict) -> dict:
@@ -122,7 +129,7 @@ def _site_array(config: dict) -> channels.SiteArray:
     if raw:
         try:
             return _stacked_sites(raw)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             # malformed: reading it site by site below raises the error
             # of the first bad site, in the order the checks meet it
             pass
@@ -140,7 +147,7 @@ def _site_array(config: dict) -> channels.SiteArray:
                     float(entry.get("g1", 0.0)),
                     float(entry.get("g2", 0.0)),
                     float(entry.get("g3", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad site entry: {exc}") from exc
         sites.append((pos, coup))
     try:
@@ -158,7 +165,7 @@ def cmd_scatter(config: dict) -> list[dict]:
             raise ConfigError("'amplitudes' must be a list")
         try:
             amps = np.array([_parse_cnum(a, "amplitude") for a in amps])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"amplitude: {exc}") from exc
     k_grid = _grid(config, "k_grid")
     try:
@@ -192,7 +199,7 @@ def _parse_state(value, what: str) -> qmemory.MemoryState:
     try:
         return qmemory.MemoryState(_parse_cnum(value[0], what),
                                    _parse_cnum(value[1], what))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -200,9 +207,11 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
     try:
         g1 = float(config["g1"])
         g3 = float(config["g3"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config needs numeric 'g1' and 'g3': "
                           f"{exc}") from exc
+    if not (math.isfinite(g1) and math.isfinite(g3)):
+        raise ConfigError("'g1' and 'g3' must be finite")
     if g1 == 0.0 or g3 == 0.0:
         raise ConfigError("'g1' and 'g3' must be nonzero")
     script = config.get("script", [])
@@ -228,7 +237,7 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
         elif op == "read":
             try:
                 sigma = float(cmd.get("noise_sigma", 0.0))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"script entry {idx}: {exc}") from exc
             if not 0.0 <= sigma < float("inf"):
                 raise ConfigError(f"script entry {idx}: 'noise_sigma' must "
@@ -253,7 +262,7 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
             try:
                 sop = qmemory.ScatterOp(cmd.get("parity"),
                                         float(cmd.get("k")))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"script entry {idx}: {exc}") from exc
             state = qmemory.apply_scatter(state, sop, g1, g3)
         else:
@@ -419,7 +428,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (Fermi1dError, ValueError) as exc:
+    except (Fermi1dError, ValueError, OverflowError) as exc:
+        # OverflowError: x ** 2 of a float above about 1.3e154
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     emit(table, args.format, args.out)

@@ -35,7 +35,6 @@ __all__ = [
     "Couplings",
     "ResolventQuad",
     "ResolventConstants",
-    "ResolventGrid",
     "FAMILY_GENERIC",
     "FAMILY_SMALL_SCALE",
     "FAMILY_LARGE_SCALE",
@@ -94,16 +93,17 @@ def _as_couplings(g) -> Couplings:
 
 @dataclass(frozen=True)
 class ResolventQuad:
-    """The four sign-sector resolvent values at one spectral point.
+    """The four sign-sector resolvent values at a spectral point, or at
+    each point of an array of them (then every field is an array).
 
     f1 belongs to the quadrant x>0, x'>0; f2 to x<0, x'>0; f3 to
     x<0, x'<0; f4 to x>0, x'<0.
     """
 
-    f1: float
-    f2: float
-    f3: float
-    f4: float
+    f1: float | np.ndarray
+    f2: float | np.ndarray
+    f3: float | np.ndarray
+    f4: float | np.ndarray
 
     def as_array(self) -> np.ndarray:
         return np.array([self.f1, self.f2, self.f3, self.f4])
@@ -149,108 +149,99 @@ class ResolventConstants:
         return self.c3 ** 2 + self.c2 * self.c4 - self.c1 ** 2
 
 
-def _check_kappa(kappa: float) -> float:
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"spectral point must be a positive real, got {kappa}")
-    return kappa
+def spectral_points(points):
+    """The spectral points kappa or k: a float for a scalar, a float array
+    for an array.  Raises ValueError unless every point is a positive
+    finite real."""
+    if isinstance(points, float) and math.isfinite(points) and points > 0.0:
+        # skips numpy's 5 us per call: a memory script checks about 400
+        # wavenumbers (every ScatterOp and parity phase)
+        return points
+    array = np.asarray(points, dtype=float)
+    bad = _first(array, ~(np.isfinite(array) & (array > 0.0)))
+    if bad is not None:
+        raise ValueError(f"spectral point {bad!r} is not a positive real")
+    return array if array.ndim else float(array)
 
 
-def check_k(k: float) -> None:
-    """Reject a scattering wavenumber that is not a positive real."""
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("k must be positive")
+def _first(points, mask):
+    """The first of the points where mask holds, or None."""
+    return float(points[mask].flat[0]) if np.any(mask) else None
 
 
-def _spectral_grid(kappa) -> np.ndarray:
-    kappa = np.asarray(kappa, dtype=float)
-    if not np.all(np.isfinite(kappa) & (kappa > 0)):
-        raise ValueError("spectral points must be positive reals")
-    return kappa
+# The closed forms below are written once over plain arithmetic and run on
+# arrays of spectral points, a float as a 0-d array: each element is
+# rounded as the same arithmetic on Python floats rounds it.
 
-
-def _first_non_finite(points: np.ndarray, parts, skip=None):
-    """The first point at which some part is not finite (an overflow),
-    ignoring the points masked by `skip`; None if there is none."""
-    bad = np.logical_or.reduce([~np.isfinite(p) for p in parts])
-    if skip is not None:
-        bad &= ~skip
-    return float(points[bad].flat[0]) if np.any(bad) else None
-
-
-# The closed forms below are written once over plain arithmetic, so they
-# evaluate a float or, element by element and rounded the same way, an
-# array of spectral points.
-
-def _denominator(g: Couplings, kappa):
-    """The shared rational denominator D(kappa), whose zeros are the
-    bound states, and the scale its pole test is relative to."""
+def _couplings_quad(g: Couplings, kappa):
+    """The shared rational denominator D(kappa), whose zeros are the bound
+    states, the scale its pole test is relative to, and the quad over D."""
     d = (g.g3 * kappa
          - 0.5 * (4.0 - g.g1 * g.g3 + g.g2 ** 2)
          - g.g1 / kappa)
-    return d, 1.0 + abs(g.g3) * kappa + abs(g.g1) / kappa
-
-
-def _quad_entries(g: Couplings, kappa, d):
-    """(f1, f2 = f4, f3) over the denominator d."""
+    scale = 1.0 + abs(g.g3) * kappa + abs(g.g1) / kappa
     f24 = 1.0 + 0.5 * (4.0 + g.g1 * g.g3 - g.g2 ** 2) / d
     f1 = (-g.g3 * kappa + 2.0 * g.g2 - g.g1 / kappa) / d
     f3 = (-g.g3 * kappa - 2.0 * g.g2 - g.g1 / kappa) / d
-    return f1, f24, f3
+    return d, scale, (f1, f24, f3, f24)
 
 
-def resolvent_from_couplings(g, kappa: float,
-                             pole_tol: float = 1e-12) -> ResolventQuad:
-    """Evaluate f1..f4 for couplings g at resolvent parameter kappa > 0.
+def _evaluate(closed_form, params, kappa: np.ndarray, pole_tol: float):
+    """Evaluate closed_form(params, kappa) -> (denominator, scale, quad)
+    over an array of spectral points.  Returns the quad, the mask of the
+    poles, where |denominator| < pole_tol * scale, and the mask of the
+    points off the poles at which the quad is not finite."""
+    with np.errstate(all="ignore"):
+        den, scale, quad = closed_form(params, kappa)
+        pole = abs(den) < pole_tol * scale
+    return quad, pole, ~(np.isfinite(quad).all(axis=0) | pole)
+
+
+def _resolvent(closed_form, params, kappa, pole_tol: float):
+    """The quad at a float or at an array of spectral points, raising what
+    a loop of float calls would raise at its first bad point."""
+    kappa = spectral_points(kappa)
+    points = np.asarray(kappa)
+    quad, pole, overflow = _evaluate(closed_form, params, points, pole_tol)
+    bad = np.flatnonzero(pole | overflow)
+    if bad.size:
+        at = float(points.flat[bad[0]])
+        if pole.flat[bad[0]]:
+            raise PoleAtSpectralPoint(at)
+        raise ValueError(f"resolvent is not finite at kappa = {at!r}")
+    return ResolventQuad(*(map(float, quad) if isinstance(kappa, float)
+                           else quad))
+
+
+def resolvent_from_couplings(g, kappa, pole_tol: float = 1e-12
+                             ) -> ResolventQuad:
+    """Evaluate f1..f4 for couplings g at resolvent parameter kappa > 0, a
+    float or an array (then each field is an array of its shape).
 
     Raises PoleAtSpectralPoint when |D(kappa)| falls below
     pole_tol * (1 + |g3| kappa + |g1|/kappa), signalling a bound state,
     and ValueError when the quads are not finite (kappa so small or so
-    large that a term overflows).  The scalar view of `resolvent_grid`.
+    large that a term overflows), at the first such point of an array.
     """
-    g = _as_couplings(g)
-    kappa = _check_kappa(kappa)
-    d, scale = _denominator(g, kappa)
-    if abs(d) < pole_tol * scale:
-        raise PoleAtSpectralPoint(kappa)
-    f1, f24, f3 = _quad_entries(g, kappa, d)
-    if not (math.isfinite(f1) and math.isfinite(f24)
-            and math.isfinite(f3)):
-        raise ValueError(f"resolvent is not finite at kappa = {kappa!r}")
-    return ResolventQuad(f1, f24, f3, f24)
+    return _resolvent(_couplings_quad, _as_couplings(g), kappa, pole_tol)
 
 
-@dataclass(frozen=True)
-class ResolventGrid:
-    """f1..f4 over an array of spectral points, with the pole mask.
+def resolvent_grid(g, kappa, pole_tol: float = 1e-12
+                   ) -> tuple[ResolventQuad, np.ndarray]:
+    """Evaluate f1..f4 at every point of a kappa array: (quad, pole), a
+    quad of arrays of the shape of kappa and the mask of the poles.
 
-    Every field has the shape of the kappa array; pole points hold NaN.
+    A pole is flagged, not raised, and holds NaN; every other point equals
+    `resolvent_from_couplings` exactly.  Raises ValueError if a point off
+    the poles is not finite.
     """
-
-    pole: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
-    f4: np.ndarray
-
-
-def resolvent_grid(g, kappa, pole_tol: float = 1e-12) -> ResolventGrid:
-    """Evaluate f1..f4 at every point of a kappa array.
-
-    Each point is flagged, not raised, where `resolvent_from_couplings`
-    raises PoleAtSpectralPoint, and otherwise equals it exactly.  Raises
-    ValueError if a point off the poles is not finite.
-    """
-    g = _as_couplings(g)
-    kappa = _spectral_grid(kappa)
-    with np.errstate(all="ignore"):
-        d, scale = _denominator(g, kappa)
-        pole = abs(d) < pole_tol * scale
-        f1, f24, f3 = _quad_entries(g, kappa, np.where(pole, np.nan, d))
-    bad = _first_non_finite(kappa, (f1, f24, f3), skip=pole)
+    points = np.asarray(spectral_points(kappa))
+    quad, pole, overflow = _evaluate(_couplings_quad, _as_couplings(g),
+                                     points, pole_tol)
+    bad = _first(points, overflow)
     if bad is not None:
         raise ValueError(f"resolvent is not finite at kappa = {bad!r}")
-    return ResolventGrid(pole, f1, f24, f3, f24)
+    return ResolventQuad(*(np.where(pole, np.nan, f) for f in quad)), pole
 
 
 def constants_from_couplings(g) -> ResolventConstants:
@@ -288,16 +279,10 @@ def constants_from_couplings(g) -> ResolventConstants:
                          "representation")
 
 
-def resolvent_from_constants(c: ResolventConstants, kappa: float,
-                             pole_tol: float = 1e-12) -> ResolventQuad:
-    """Evaluate the constants-family quads at kappa > 0.
-
-    The generic family branches on the sign of the discriminant; the
-    limiting families are first-degree rational in kappa.  All square
-    roots are taken positive.  Each family sets the denominator t, the
-    numerator num, the weight w of the constants and the pole scale.
-    """
-    kappa = _check_kappa(kappa)
+def _constants_quad(c: ResolventConstants, kappa):
+    """The denominator t, its pole scale and the quad of a constants
+    family.  Each family sets t, the numerator num, the weight w of the
+    constants and the scale."""
     if c.family == FAMILY_GENERIC:
         disc = c.discriminant()
         u = c.c0 * kappa
@@ -317,17 +302,27 @@ def resolvent_from_constants(c: ResolventConstants, kappa: float,
     elif c.family == FAMILY_SMALL_SCALE:
         t = c.gamma + 2.0 * c.c1 * kappa
         num, w = -c.gamma, kappa
-        scale = max(c.gamma + 2.0 * abs(c.c1) * kappa, 1.0)
+        scale = np.maximum(c.gamma + 2.0 * abs(c.c1) * kappa, 1.0)
     else:  # large-scale limit
         t = c.gamma * kappa + 2.0 * c.c1
         num, w = c.gamma * kappa, 1.0
-        scale = max(c.gamma * kappa + 2.0 * abs(c.c1), 1.0)
-    if abs(t) < pole_tol * scale:
-        raise PoleAtSpectralPoint(kappa)
-    return ResolventQuad((-num - 2.0 * c.c3 * w) / t,
-                         1.0 - 2.0 * c.c2 * w / t,
-                         (-num + 2.0 * c.c3 * w) / t,
-                         1.0 - 2.0 * c.c4 * w / t)
+        scale = np.maximum(c.gamma * kappa + 2.0 * abs(c.c1), 1.0)
+    return t, scale, ((-num - 2.0 * c.c3 * w) / t,
+                      1.0 - 2.0 * c.c2 * w / t,
+                      (-num + 2.0 * c.c3 * w) / t,
+                      1.0 - 2.0 * c.c4 * w / t)
+
+
+def resolvent_from_constants(c: ResolventConstants, kappa,
+                             pole_tol: float = 1e-12) -> ResolventQuad:
+    """Evaluate the constants-family quads at kappa > 0, a float or an
+    array, raising as `resolvent_from_couplings` does.
+
+    The generic family branches on the sign of the discriminant; the
+    limiting families are first-degree rational in kappa.  All square
+    roots are taken positive.
+    """
+    return _resolvent(_constants_quad, c, kappa, pole_tol)
 
 
 def greens_function(g, kappa: float, x, xp, pole_tol: float = 1e-12):
@@ -383,7 +378,7 @@ def s_matrix_grid(g, k) -> np.ndarray:
     Raises ValueError if an entry is not finite.
     """
     g = _as_couplings(g)
-    k = _spectral_grid(k)
+    k = np.asarray(spectral_points(k))
     i = (0.0, 1.0)
     with np.errstate(all="ignore"):
         ik3 = _cmul(_cmul(i, (g.g3, 0.0)), (k, 0.0))
@@ -393,7 +388,7 @@ def s_matrix_grid(g, k) -> np.ndarray:
         diag = _cdiv((0.5 * (4.0 + g.g1 * g.g3 - g.g2 ** 2), 0.0), d)
         spm = _cdiv(_csub(_csub(ik3, (2.0 * g.g2, 0.0)), ik1), d)
         smp = _cdiv(_csub(_cadd(ik3, (2.0 * g.g2, 0.0)), ik1), d)
-    bad = _first_non_finite(k, (*diag, *spm, *smp))
+    bad = _first(k, ~np.isfinite((*diag, *spm, *smp)).all(axis=0))
     if bad is not None:
         raise ValueError(f"S-matrix is not finite at k = {bad!r}")
     s = np.empty(k.shape + (2, 2), dtype=complex)
@@ -411,18 +406,18 @@ def s_matrix(g, k: float) -> np.ndarray:
     S[0, 0] is the transmission of a wave incident from the left and
     S[1, 0] its reflection.  The scalar view of `s_matrix_grid`.
     """
-    return s_matrix_grid(g, _check_kappa(k))
+    return s_matrix_grid(g, float(k))
 
 
 def even_phase(g1: float, k: float) -> complex:
     """Unimodular even-wave scattering factor (2k - i g1)/(2k + i g1)."""
-    k = _check_kappa(k)
+    k = spectral_points(float(k))
     return (2.0 * k - 1j * g1) / (2.0 * k + 1j * g1)
 
 
 def odd_phase(g3: float, k: float) -> complex:
     """Unimodular odd-wave scattering factor (2 - i g3 k)/(2 + i g3 k)."""
-    k = _check_kappa(k)
+    k = spectral_points(float(k))
     return (2.0 - 1j * g3 * k) / (2.0 + 1j * g3 * k)
 
 
@@ -536,8 +531,8 @@ def dual_transform_quad(provider):
     identity.
     """
 
-    def dual(kappa: float) -> ResolventQuad:
-        q = provider(1.0 / _check_kappa(kappa))
+    def dual(kappa) -> ResolventQuad:
+        q = provider(1.0 / spectral_points(kappa))
         return ResolventQuad(-q.f1, q.f2, -q.f3, q.f4)
 
     return dual

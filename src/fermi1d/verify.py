@@ -45,6 +45,11 @@ class ResidualReport:
         return self.max_residual <= self.tolerance
 
 
+def _worst(residuals) -> float:
+    """The largest absolute residual; 0 for none."""
+    return float(np.max(np.abs(residuals), initial=0.0))
+
+
 def resolvent_residual_closed(provider, kappa1: float, kappa2: float
                               ) -> np.ndarray:
     """Residuals of the algebraic resolvent identity in all four sign
@@ -70,6 +75,12 @@ def resolvent_residual_closed(provider, kappa1: float, kappa2: float
                      + quad_sector(q1, sx, 1) * quad_sector(q2, 1, sxp)) / dp)
 
 
+@functools.cache
+def _gauss_legendre():
+    """The 20-point Gauss-Legendre rule on [-1, 1], made on first use."""
+    return np.polynomial.legendre.leggauss(20)
+
+
 def _overlap_integral(g, kappa1: float, kappa2: float, x: float, xp: float,
                       truncation: float, tolerance: float) -> float:
     """Integral of R_{k1}(x, t) R_{k2}(t, x') over the least interval
@@ -77,7 +88,7 @@ def _overlap_integral(g, kappa1: float, kappa2: float, x: float, xp: float,
     integrand is a sum of exponentials; a 20-point Gauss-Legendre rule sums
     it on panels at most w/2 = 1/(k1+k2) wide.  Raises QuadratureFailure if
     the error estimate |I(w) - I(w/2)| exceeds the tolerance."""
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = _gauss_legendre()
     kinks = np.unique([-truncation, 0.0, x, xp, truncation])
     sums = []
     for width in (1.0 / (kappa1 + kappa2), 2.0 / (kappa1 + kappa2)):
@@ -114,11 +125,12 @@ def resolvent_residual_integral(g, kappa1: float, kappa2: float,
                  + (kappa1 ** 2 - kappa2 ** 2) * _overlap_integral(
                      g, kappa1, kappa2, x, xp, truncation, tolerance)
                  for x, xp in pairs]
-    return float(np.max(np.abs(residuals), initial=0.0))
+    return _worst(residuals)
 
 
-def _derivative(fn, x: float, h: float) -> float:
-    """Central difference with one Richardson step."""
+def _derivative(fn, x, h):
+    """Central difference with one Richardson step, at a point or over an
+    array of points: four calls of fn."""
     d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
     d2 = (fn(x + h / 2.0) - fn(x - h / 2.0)) / h
     return (4.0 * d2 - d1) / 3.0
@@ -133,23 +145,20 @@ def ode_residual(provider, kappas, h_rel: float = 1e-5) -> np.ndarray:
 
     and its three sign-sector companions; derivatives are taken by
     Richardson-extrapolated central differences with step h_rel * kappa.
-    Returns the max absolute residual per equation over the grid.
+    The provider maps an array of kappa to a ResolventQuad of arrays; it
+    is called once per stencil offset, five times in all.  Returns the
+    max absolute residual per equation over the grid.
     """
-    worst = np.zeros(4)
-    for kappa in np.atleast_1d(kappas):
-        kappa = float(kappa)
-        h = h_rel * kappa
-        f = provider(kappa).as_array()
-        fp = _derivative(lambda t: provider(t).as_array(), kappa, h)
-        f1, f2, f3, f4 = f
-        res = np.abs([
-            fp[0] + (f2 + f4 - f2 * f4 - f1 ** 2) / (2.0 * kappa),
-            fp[1] + (f1 + f3 - f2 * f3 - f1 * f2) / (2.0 * kappa),
-            fp[2] + (f2 + f4 - f3 ** 2 - f2 * f4) / (2.0 * kappa),
-            fp[3] + (f1 + f3 - f3 * f4 - f1 * f4) / (2.0 * kappa),
-        ])
-        worst = np.maximum(worst, res)
-    return worst
+    kappa = np.atleast_1d(np.asarray(kappas, dtype=float))
+    f1, f2, f3, f4 = provider(kappa).as_array()
+    fp = _derivative(lambda t: provider(t).as_array(), kappa, h_rel * kappa)
+    res = np.abs([
+        fp[0] + (f2 + f4 - f2 * f4 - f1 ** 2) / (2.0 * kappa),
+        fp[1] + (f1 + f3 - f2 * f3 - f1 * f2) / (2.0 * kappa),
+        fp[2] + (f2 + f4 - f3 ** 2 - f2 * f4) / (2.0 * kappa),
+        fp[3] + (f1 + f3 - f3 * f4 - f1 * f4) / (2.0 * kappa),
+    ])
+    return np.max(res, axis=1, initial=0.0)
 
 
 def appendix_log_residual(c: ResolventConstants, kappas,
@@ -158,43 +167,35 @@ def appendix_log_residual(c: ResolventConstants, kappas,
 
     Reconstructs F(kappa) = log((f2 - 1)/c2), verifies the second-order
     equation 2k (k F')' = (k F')^2 - 1 + (c3^2 + c2 c4) e^{2F}, and the
-    two side relations (f2-1)/c2 = (f4-1)/c4 and f1 - f3 = 2 c3 e^F.
-    Raises LogDomain where (f2-1)/c2 is not positive.
+    two side relations (f2-1)/c2 = (f4-1)/c4 and f1 - f3 = 2 c3 e^F, over
+    the whole grid at once.  Raises LogDomain where (f2-1)/c2 is not
+    positive.
     """
     if c.c2 == 0.0:
         raise ValueError("the log variable needs c2 != 0")
-    kappas = np.atleast_1d(kappas).astype(float)
-
-    def f_of(kappa):
-        return pointcore.resolvent_from_constants(c, float(kappa))
+    kappas = np.atleast_1d(np.asarray(kappas, dtype=float))
 
     def big_f(kappa):
-        ratio = (f_of(kappa).f2 - 1.0) / c.c2
-        if ratio <= 0.0:
-            raise LogDomain(f"(f2 - 1)/c2 = {ratio:g} <= 0 at kappa = "
-                            f"{kappa:g}")
-        return math.log(ratio)
+        ratio = (pointcore.resolvent_from_constants(c, kappa).f2 - 1.0) / c.c2
+        low = ratio <= 0.0
+        if np.any(low):
+            raise LogDomain(f"(f2 - 1)/c2 = {ratio[low][0]:g} <= 0 at "
+                            f"kappa = {kappa[low][0]:g}")
+        return np.log(ratio)
 
     def kfp(kappa):
         return kappa * _derivative(big_f, kappa, h_rel * kappa)
 
-    const = c.c3 ** 2 + c.c2 * c.c4
-    second = 0.0
-    side_24 = 0.0
-    side_13 = 0.0
-    for kappa in kappas:
-        kappa = float(kappa)
-        lhs = 2.0 * kappa * _derivative(kfp, kappa, h_rel * kappa)
-        rhs = kfp(kappa) ** 2 - 1.0 + const * math.exp(2.0 * big_f(kappa))
-        second = max(second, abs(lhs - rhs))
-        quads = f_of(kappa)
-        ef = math.exp(big_f(kappa))
-        if c.c4 != 0.0:
-            side_24 = max(side_24, abs((quads.f2 - 1.0) / c.c2
-                                       - (quads.f4 - 1.0) / c.c4))
-        side_13 = max(side_13, abs(quads.f1 - quads.f3 - 2.0 * c.c3 * ef))
-    return {"second_order": second, "side_f2_f4": side_24,
-            "side_f1_f3": side_13}
+    lhs = 2.0 * kappas * _derivative(kfp, kappas, h_rel * kappas)
+    log_ratio = big_f(kappas)
+    rhs = (kfp(kappas) ** 2 - 1.0
+           + (c.c3 ** 2 + c.c2 * c.c4) * np.exp(2.0 * log_ratio))
+    quads = pointcore.resolvent_from_constants(c, kappas)
+    side_24 = ((quads.f2 - 1.0) / c.c2 - (quads.f4 - 1.0) / c.c4
+               if c.c4 != 0.0 else 0.0)
+    return {"second_order": _worst(lhs - rhs), "side_f2_f4": _worst(side_24),
+            "side_f1_f3": _worst(quads.f1 - quads.f3
+                                 - 2.0 * c.c3 * np.exp(log_ratio))}
 
 
 def transfer_matrix_oracle(sites, k: float) -> tuple[complex, complex]:
@@ -205,7 +206,7 @@ def transfer_matrix_oracle(sites, k: float) -> tuple[complex, complex]:
     transfer matrix in the plane-wave basis is multiplied across the
     array.  Completely independent of the channels solver.
     """
-    pointcore.check_k(k)
+    pointcore.spectral_points(k)
     total = np.eye(2, dtype=complex)
     for pos, strength in sites:
         u = strength / (2j * k)
@@ -234,34 +235,28 @@ def default_suite() -> dict:
     """Named oracle runs with their tolerances, for the CLI."""
 
     def closed_form():
-        worst = 0.0
-        for g in [(1.0, 2.0, 3.0), (2.0, 0.0, 0.0), (-1.5, 0.7, 2.2),
-                  (0.0, 1.0, 0.0)]:
-            def provider(kappa, g=g):
-                return pointcore.resolvent_from_couplings(g, kappa)
-            for k1, k2 in [(0.5, 2.0), (0.3, 1.1), (1.7, 4.0)]:
-                worst = max(worst,
-                            float(np.max(resolvent_residual_closed(
-                                provider, k1, k2))))
+        worst = _worst([resolvent_residual_closed(
+            functools.partial(pointcore.resolvent_from_couplings, g), k1, k2)
+            for g in [(1.0, 2.0, 3.0), (2.0, 0.0, 0.0), (-1.5, 0.7, 2.2),
+                      (0.0, 1.0, 0.0)]
+            for k1, k2 in [(0.5, 2.0), (0.3, 1.1), (1.7, 4.0)]])
         return ResidualReport("resolvent_closed", worst,
                               "4 coupling triples x 3 spectral pairs",
                               1e-12)
 
     def integral():
-        worst = 0.0
-        for g in [(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 2.0, 3.0)]:
-            worst = max(worst, resolvent_residual_integral(g, 1.0, 2.0))
+        worst = _worst([resolvent_residual_integral(g, 1.0, 2.0)
+                        for g in [(2.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                  (1.0, 2.0, 3.0)]])
         return ResidualReport("resolvent_integral", worst,
                               "3 coupling triples, 4 (x, x') pairs each",
                               1e-6)
 
     def ode():
-        grid = np.linspace(0.4, 8.0, 25)
-        worst = 0.0
-        for g in [(1.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-1.5, 0.7, 2.2)]:
-            def provider(kappa, g=g):
-                return pointcore.resolvent_from_couplings(g, kappa)
-            worst = max(worst, float(np.max(ode_residual(provider, grid))))
+        worst = _worst([ode_residual(
+            functools.partial(pointcore.resolvent_from_couplings, g),
+            np.linspace(0.4, 8.0, 25))
+            for g in [(1.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-1.5, 0.7, 2.2)]])
         return ResidualReport("ode_system", worst,
                               "3 coupling triples, kappa in [0.4, 8]",
                               1e-6)
@@ -269,13 +264,13 @@ def default_suite() -> dict:
     def log_reduction():
         c = ResolventConstants(1.0, 0.0, 2.0, 0.0, 2.0)
         res = appendix_log_residual(c, np.linspace(0.2, 0.9, 15))
-        worst = max(res.values())
+        worst = _worst(list(res.values()))
         return ResidualReport("log_reduction", worst,
                               "c=(1,0,2,0,2), kappa in [0.2, 0.9]", 1e-5)
 
     def transfer():
         from . import channels
-        worst = 0.0
+        residuals = []
         for positions, strengths, k in [((0.0,), (2.0,), 1.0),
                                         ((0.0, 1.0), (1.0, 1.0), 1.0),
                                         ((0.0, 0.7, 1.9),
@@ -287,10 +282,9 @@ def default_suite() -> dict:
             arr = channels.SiteArray.from_arrays(positions, couplings)
             sol = channels.solve_scattering(
                 arr, channels.IncidentWave(k, "left"))
-            worst = max(worst,
-                        abs(sol.outgoing_right[0] - t),
-                        abs(sol.outgoing_left[0] - r))
-        return ResidualReport("transfer_matrix", worst,
+            residuals += [abs(sol.outgoing_right[0] - t),
+                          abs(sol.outgoing_left[0] - r)]
+        return ResidualReport("transfer_matrix", _worst(residuals),
                               "1-3 delta sites vs channel solver", 1e-12)
 
     def corrupted_self_test():

@@ -79,6 +79,30 @@ class TestResolvent:
         assert captured.err.startswith("domain error:")
 
 
+@pytest.mark.parametrize("command, key", [("resolvent", "kappa_grid"),
+                                          ("smatrix", "k_grid")])
+class TestCouplingInput:
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys,
+                                              command, key):
+        # 10 ** 400 is a JSON integer too large for a float
+        for g in ([float("nan"), 1.0, 0.0], [0.0, 1.0, float("inf")],
+                  [0.0, 10 ** 400, 0.0]):
+            cfg = write_config(tmp_path, {"schema": 1, "couplings": g,
+                                          key: [1.0]})
+            assert run(capsys, [command, "--config", cfg]) == (2, "")
+
+    def test_overflow_is_domain_error(self, tmp_path, capsys, command,
+                                      key):
+        # g2 ** 2 overflows a float above about 1.3e154
+        cfg = write_config(tmp_path, {"schema": 1,
+                                      "couplings": [0.0, 1e200, 0.0],
+                                      key: [1.0]})
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error:")
+
+
 class TestSMatrix:
     def test_non_finite_row_is_domain_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,
@@ -164,7 +188,10 @@ class TestScatter:
         nan = float("nan")
         for extra in ({"amplitudes": [nan]},
                       {"sites": [{"position": 0.0, "g1": nan}]},
-                      {"amplitudes": 5}, {"amplitudes": [["a", "b"]]}):
+                      {"amplitudes": 5}, {"amplitudes": [["a", "b"]]},
+                      # JSON integers too large for a float
+                      {"sites": [{"position": 0.0, "g1": 10 ** 400}]},
+                      {"amplitudes": [10 ** 400]}, {"k_grid": [10 ** 400]}):
             cfg = write_config(tmp_path, {
                 "schema": 1, "sites": [{"position": 0.0, "g1": 2.0}],
                 "k_grid": [1.0], "mode": "left", **extra})
@@ -299,6 +326,25 @@ class TestMemory:
             code, out = run(capsys, ["memory", "--config", cfg])
             assert code == 2
             assert out == ""
+
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys):
+        nan = float("nan")
+        for extra in ({"g1": nan}, {"g3": float("inf")},
+                      {"g1": nan, "script": []},
+                      {"standard_state": [nan, 1.0], "script": []},
+                      {"script": [{"op": "write", "target": [nan, 1.0]}]},
+                      # |1e200| ** 2 overflows a float
+                      {"script": [{"op": "write", "target": [1e200, 0.0]}]},
+                      # JSON integers too large for a float
+                      {"g1": 10 ** 400},
+                      {"script": [{"op": "write", "target": [10 ** 400, 0]}]},
+                      {"script": [{"op": "read", "noise_sigma": 10 ** 400}]},
+                      {"script": [{"op": "scatter", "parity": "even",
+                                   "k": 10 ** 400}]}):
+            cfg = write_config(tmp_path, {
+                "schema": 1, "g1": 2.0, "g3": 2.0,
+                "script": [{"op": "write", "target": [0.6, 0.8]}], **extra})
+            assert run(capsys, ["memory", "--config", cfg]) == (2, "")
 
     def test_bad_script_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "g1": 2.0, "g3": 2.0,

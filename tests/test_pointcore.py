@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,24 +284,49 @@ def couplings(draw):
 _points = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30)
 
 
+def assert_array_call_equals_points(fn, kappa):
+    """fn over the kappa array equals fn at each point bit for bit, or
+    raises what the first point that raises does."""
+    quads = []
+    for point in kappa:
+        try:
+            quads.append(fn(float(point)).as_array())
+        except (PoleAtSpectralPoint, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                fn(kappa)
+            return
+    quad = fn(kappa)
+    assert quad.f1.shape == kappa.shape
+    assert_same_bits(quad.as_array(), np.stack(quads, axis=-1))
+
+
 class TestGridKernels:
     @settings(max_examples=300, deadline=None)
     @given(couplings(), _points)
     def test_resolvent_grid_equals_scalar_view(self, g, kappa):
         # the bound states put pole-mask points into the grid
         kappa = np.array(kappa + pointcore.bound_states(g))
-        grid = pointcore.resolvent_grid(g, kappa)
+        quad, pole = pointcore.resolvent_grid(g, kappa)
         for j, point in enumerate(kappa):
             try:
-                quad = pointcore.resolvent_from_couplings(g, point)
+                point_quad = pointcore.resolvent_from_couplings(g, point)
             except PoleAtSpectralPoint:
-                assert grid.pole[j]
-                assert np.isnan([grid.f1[j], grid.f2[j], grid.f3[j],
-                                 grid.f4[j]]).all()
+                assert pole[j]
+                assert np.isnan(quad.as_array()[:, j]).all()
                 continue
-            assert not grid.pole[j]
-            assert_same_bits([grid.f1[j], grid.f2[j], grid.f3[j],
-                              grid.f4[j]], quad.as_array())
+            assert not pole[j]
+            assert_same_bits(quad.as_array()[:, j], point_quad.as_array())
+        # array calls, in both orders so that a pole may come first, for
+        # the couplings and for every constants family
+        kernels = [functools.partial(pointcore.resolvent_from_couplings, g)]
+        if any(g):
+            c = pointcore.constants_from_couplings(g)
+            kernels += [
+                functools.partial(pointcore.resolvent_from_constants, family)
+                for family in (c, pointcore.dual_transform(c))]
+        for kernel in kernels:
+            for points in (kappa, kappa[::-1]):
+                assert_array_call_equals_points(kernel, points)
 
     @settings(max_examples=300, deadline=None)
     @given(couplings(), _points)
@@ -313,9 +340,10 @@ class TestGridKernels:
 
     def test_kernels_broadcast(self):
         kappa = np.array([[0.5, 1.0], [1.5, 2.0]])
-        grid = pointcore.resolvent_grid((2.0, 0.0, 2.0), kappa)
-        assert grid.pole.tolist() == [[False, True], [False, False]]
-        assert grid.f1.shape == kappa.shape
+        quad, pole = pointcore.resolvent_grid((2.0, 0.0, 2.0), kappa)
+        assert pole.tolist() == [[False, True], [False, False]]
+        assert quad.f1.shape == kappa.shape
+        assert np.isnan(quad.f1[0, 1]) and not np.isnan(quad.f1[0, 0])
         assert pointcore.s_matrix_grid((1.0, 0.5, -1.0),
                                        kappa).shape == (2, 2, 2, 2)
 

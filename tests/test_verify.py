@@ -124,6 +124,22 @@ class TestOdeSystem:
         res = verify.ode_residual(provider, np.linspace(2.0, 6.0, 8))
         assert np.max(res) < 1e-7
 
+    @pytest.mark.parametrize("points", [1, 7, 250])
+    def test_one_provider_call_per_stencil_offset(self, points):
+        calls = []
+
+        def provider(kappa):
+            calls.append(np.shape(kappa))
+            return pointcore.resolvent_from_couplings((1.0, 2.0, 3.0), kappa)
+
+        grid = np.linspace(0.5, 5.0, points)
+        res = verify.ode_residual(provider, grid)
+        assert calls == [(points,)] * 5
+        # the grid residual is the worst of the per-point residuals
+        assert np.array_equal(res, np.max(
+            [verify.ode_residual(provider, [kappa]) for kappa in grid],
+            axis=0))
+
 
 class TestLogReduction:
     def test_holds_on_valid_window(self):
@@ -161,9 +177,14 @@ class TestSuite:
 
     def test_cli_import_loads_no_scipy(self):
         # numpy is the package's only runtime dependency; importing the
-        # CLI in a fresh process loads no scipy module.
-        assert run_fresh(f"import sys, fermi1d.cli; print({SCIPY_MODULES})"
-                         ) == "[]\n"
+        # CLI in a fresh process loads no scipy module, and no
+        # numpy.polynomial module: the Gauss-Legendre rule is computed on
+        # first use.
+        polynomial = ("[m for m in sys.modules "
+                      "if m.startswith('numpy.polynomial')]")
+        assert run_fresh(f"import sys, fermi1d.cli; "
+                         f"print({SCIPY_MODULES}, {polynomial})"
+                         ) == "[] []\n"
 
     def test_verify_command_loads_no_scipy(self, tmp_path):
         config = tmp_path / "verify.json"
@@ -178,6 +199,34 @@ class TestSuite:
 
     def test_corrupted_self_test_fails(self):
         report = verify.default_suite()["corrupted_self_test"]()
+        assert not report.passed
+
+    @pytest.mark.parametrize("check, oracle", [
+        ("resolvent_closed", "resolvent_residual_closed"),
+        ("resolvent_integral", "resolvent_residual_integral"),
+        ("ode", "ode_residual"),
+        ("log_reduction", "appendix_log_residual"),
+        ("transfer_matrix", "transfer_matrix_oracle")])
+    def test_nan_residual_after_the_first_fails(self, monkeypatch, check,
+                                                oracle):
+        # a NaN from the second oracle call, or in the second entry of the
+        # log-reduction result, must show in max_residual
+        calls = []
+        original = getattr(verify, oracle)
+
+        def nan_on_second_call(*args, **kwargs):
+            calls.append(None)
+            result = original(*args, **kwargs)
+            if oracle == "appendix_log_residual":
+                return {**result, "side_f2_f4": math.nan}
+            if len(calls) != 2:
+                return result
+            return np.full(np.shape(result), math.nan)
+
+        monkeypatch.setattr(verify, oracle, nan_on_second_call)
+        report = verify.default_suite()[check]()
+        assert len(calls) >= (1 if oracle == "appendix_log_residual" else 2)
+        assert math.isnan(report.max_residual)
         assert not report.passed
 
     def test_unknown_name_rejected(self):
