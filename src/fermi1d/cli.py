@@ -232,7 +232,8 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
             target = _parse_state(cmd.get("target"), "write target")
             plan = qmemory.write(state, target, g1, g3)
             state = qmemory.apply_plan(state, plan, g1, g3)
-            event["plan"] = [{"parity": o.parity, "k": o.k} for o in plan]
+            event["plan"] = [{"parity": p, "k": k}
+                             for p, k in zip(plan.parity, plan.k)]
             event["write_error"] = state.distance_up_to_phase(target)
         elif op == "read":
             try:
@@ -256,15 +257,16 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
         elif op == "reset":
             plan = qmemory.reset(state, standard, g1, g3)
             state = qmemory.apply_plan(state, plan, g1, g3)
-            event["plan"] = [{"parity": o.parity, "k": o.k} for o in plan]
+            event["plan"] = [{"parity": p, "k": k}
+                             for p, k in zip(plan.parity, plan.k)]
             event["reset_error"] = state.distance_up_to_phase(standard)
         elif op == "scatter":
             try:
-                sop = qmemory.ScatterOp(cmd.get("parity"),
-                                        float(cmd.get("k")))
+                wave = qmemory.Plan((cmd.get("parity"),),
+                                    (float(cmd.get("k")),))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"script entry {idx}: {exc}") from exc
-            state = qmemory.apply_scatter(state, sop, g1, g3)
+            state = qmemory.apply_plan(state, wave, g1, g3)
         else:
             raise ConfigError(f"script entry {idx}: unknown op {op!r}")
         event["state"] = [_cnum(state.a1), _cnum(state.a2)]

@@ -153,10 +153,6 @@ def spectral_points(points):
     """The spectral points kappa or k: a float for a scalar, a float array
     for an array.  Raises ValueError unless every point is a positive
     finite real."""
-    if isinstance(points, float) and math.isfinite(points) and points > 0.0:
-        # skips numpy's 5 us per call: a memory script checks about 400
-        # wavenumbers (every ScatterOp and parity phase)
-        return points
     array = np.asarray(points, dtype=float)
     bad = _first(array, ~(np.isfinite(array) & (array > 0.0)))
     if bad is not None:
@@ -409,16 +405,29 @@ def s_matrix(g, k: float) -> np.ndarray:
     return s_matrix_grid(g, float(k))
 
 
+def parity_terms(parity: str, k: float, g1: float, g3: float
+                 ) -> tuple[float, float]:
+    """(a, b) of the factor (a - ib)/(a + ib) by which a parity wave of
+    wavenumber k scatters: a = 2k, b = g1 for the even wave, a = 2,
+    b = g3 k for the odd one.  k is not checked."""
+    return (2.0 * k, g1) if parity == "even" else (2.0, g3 * k)
+
+
+def parity_factor(a: float, b: float) -> complex:
+    """The unimodular parity factor (a - ib)/(a + ib)."""
+    return (a - 1j * b) / (a + 1j * b)
+
+
 def even_phase(g1: float, k: float) -> complex:
     """Unimodular even-wave scattering factor (2k - i g1)/(2k + i g1)."""
-    k = spectral_points(float(k))
-    return (2.0 * k - 1j * g1) / (2.0 * k + 1j * g1)
+    return parity_factor(*parity_terms("even", spectral_points(float(k)),
+                                       g1, 0.0))
 
 
 def odd_phase(g3: float, k: float) -> complex:
     """Unimodular odd-wave scattering factor (2 - i g3 k)/(2 + i g3 k)."""
-    k = spectral_points(float(k))
-    return (2.0 - 1j * g3 * k) / (2.0 + 1j * g3 * k)
+    return parity_factor(*parity_terms("odd", spectral_points(float(k)),
+                                       0.0, g3))
 
 
 def bound_states(g) -> list[float]:

@@ -25,18 +25,17 @@ from .errors import (
     PhaseBlind,
     ZeroCoupling,
 )
-from .pointcore import even_phase, odd_phase, spectral_points
+from .pointcore import (even_phase, odd_phase, parity_factor, parity_terms,
+                        spectral_points)
 
 __all__ = [
     "MemoryState",
-    "ScatterOp",
+    "Plan",
     "Observables",
     "AdmissibilityReport",
     "STANDARD_STATE",
     "s_plus",
     "s_minus",
-    "op_matrix",
-    "apply_scatter",
     "apply_plan",
     "plan_matrix",
     "factorize_su2",
@@ -50,10 +49,6 @@ __all__ = [
     "read_protocol",
     "admissibility_check",
 ]
-
-_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class MemoryState:
@@ -93,17 +88,25 @@ STANDARD_STATE = MemoryState(1.0 / math.sqrt(2.0),
 
 
 @dataclass(frozen=True)
-class ScatterOp:
-    """One scattering event: parity of the interrogating wave and its
-    wavenumber."""
+class Plan:
+    """A scattering sequence: two tuples of equal length, the parity of
+    each wave and its wavenumber k as a Python float, checked once here.
+    A single scattering is a one-wave plan.  Acting on a state, the last
+    wave scatters first.
+    """
 
-    parity: str
-    k: float
+    parity: tuple[str, ...]
+    k: tuple[float, ...]
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
+        if any(p not in ("even", "odd") for p in self.parity):
             raise ValueError("parity must be 'even' or 'odd'")
+        if len(self.parity) != len(self.k):
+            raise ValueError("a plan needs one wavenumber per wave")
         spectral_points(self.k)
+
+    def __len__(self) -> int:
+        return len(self.k)
 
 
 @dataclass(frozen=True)
@@ -134,88 +137,79 @@ class AdmissibilityReport:
     density_matrix: np.ndarray
 
 
-def _rotation(phase: complex, sigma: np.ndarray) -> np.ndarray:
-    """Re(e) I + i Im(e) sigma, which is exp(i arg(e) sigma) for a
-    unimodular parity phase e."""
-    return phase.real * np.eye(2) + 1j * phase.imag * sigma
+def _su2(parity: str, e: complex) -> np.ndarray:
+    """Re(e) I + i Im(e) sigma, sigma_1 for an even wave and sigma_3 for
+    an odd one: exp(i arg(e) sigma) for a unimodular parity factor e."""
+    if parity == "even":
+        off = complex(0.0, e.imag)
+        return np.array([[e.real, off], [off, e.real]])
+    return np.array([[e, 0.0], [0.0, e.conjugate()]])
 
 
 def s_minus(g3: float, k: float) -> np.ndarray:
     """Odd-wave scattering matrix exp(-i sigma_3 2 arctan(g3 k / 2))."""
-    return _rotation(odd_phase(g3, k), _SIGMA3)
+    return _su2("odd", odd_phase(g3, k))
 
 
 def s_plus(g1: float, k: float) -> np.ndarray:
     """Even-wave scattering matrix exp(-i sigma_1 2 arctan(g1/(2k)))."""
-    return _rotation(even_phase(g1, k), _SIGMA1)
+    return _su2("even", even_phase(g1, k))
 
 
-def op_matrix(op: ScatterOp, g1: float, g3: float) -> np.ndarray:
-    return s_plus(g1, op.k) if op.parity == "even" else s_minus(g3, op.k)
+def op_angle(wave: Plan, g1: float, g3: float) -> float:
+    """The rotation angle 2 atan(b/a) of a one-wave plan, whose matrix is
+    exp(-i sigma theta)."""
+    (parity,), (k,) = wave.parity, wave.k
+    a, b = parity_terms(parity, k, g1, g3)
+    return 2.0 * math.atan(b / a)
 
 
-def op_angle(op: ScatterOp, g1: float, g3: float) -> float:
-    """The rotation angle of the op: op_matrix = exp(-i sigma theta)."""
-    if op.parity == "even":
-        return 2.0 * math.atan(g1 / (2.0 * op.k))
-    return 2.0 * math.atan(g3 * op.k / 2.0)
-
-
-def apply_scatter(state: MemoryState, op: ScatterOp,
-                  g1: float, g3: float) -> MemoryState:
-    """Scatter one wave off the memory; the stored state is rotated."""
-    return MemoryState.from_vec(op_matrix(op, g1, g3) @ state.vec)
-
-
-def plan_matrix(plan, g1: float, g3: float) -> np.ndarray:
-    """Ordered product of the plan's matrices, first element leftmost.
-
-    Acting on a state, the last element of the plan scatters first.
-    """
+def plan_matrix(plan: Plan, g1: float, g3: float) -> np.ndarray:
+    """Ordered product of the plan's wave matrices, first wave leftmost,
+    from the wavenumbers the plan checked."""
     u = np.eye(2, dtype=complex)
-    for op in plan:
-        u = u @ op_matrix(op, g1, g3)
+    for parity, k in zip(plan.parity, plan.k):
+        u = u @ _su2(parity, parity_factor(*parity_terms(parity, k, g1, g3)))
     return u
 
 
-def apply_plan(state: MemoryState, plan, g1: float, g3: float
+def apply_plan(state: MemoryState, plan: Plan, g1: float, g3: float
                ) -> MemoryState:
-    """Apply plan_matrix(plan) to the state."""
+    """Scatter the plan's waves off the memory: apply plan_matrix(plan)
+    to the state."""
     return MemoryState.from_vec(plan_matrix(plan, g1, g3) @ state.vec)
 
 
-def _axis_ops(theta: float, parity: str, coupling: float,
-              tol: float = 1e-12) -> list[ScatterOp]:
-    """Ops realizing exp(-i sigma theta) about one axis.
+def _axis_plan(rotations: list[tuple[float, str]], g1: float, g3: float,
+               tol: float = 1e-12) -> Plan:
+    """One plan for a product of rotations exp(-i sigma theta), each a
+    (theta, parity) pair about the parity's axis, first leftmost.
 
-    A single op reaches angles theta with theta*sign(coupling) in
-    (0, pi); anything else splits into two ops of half the (reduced)
+    A single wave reaches angles theta with theta*sign(coupling) in
+    (0, pi); anything else splits into two waves of half the (reduced)
     angle.
     """
-    sigma = math.copysign(1.0, coupling)
-    t = (theta * sigma) % (2.0 * math.pi)
-    if t < tol or t > 2.0 * math.pi - tol:
-        return []
-
-    def one(angle: float) -> ScatterOp:
-        # angle in (0, pi); invert the arctan relation for k > 0
-        if parity == "odd":
-            k = (2.0 / abs(coupling)) * math.tan(angle / 2.0)
-        else:
-            k = abs(coupling) / (2.0 * math.tan(angle / 2.0))
-        return ScatterOp(parity, k)
-
-    if t < math.pi - 1e-9:
-        return [one(t)]
-    return [one(t / 2.0), one(t / 2.0)]
+    waves = []
+    for theta, parity in rotations:
+        coupling = g1 if parity == "even" else g3
+        t = (theta * math.copysign(1.0, coupling)) % (2.0 * math.pi)
+        if t < tol or t > 2.0 * math.pi - tol:
+            continue
+        n = 1 if t < math.pi - 1e-9 else 2
+        # each angle t/n in (0, pi); invert the arctan relation for k > 0
+        tan = math.tan(t / n / 2.0)
+        k = ((2.0 / abs(coupling)) * tan if parity == "odd"
+             else abs(coupling) / (2.0 * tan))
+        waves += [(parity, k)] * n
+    return Plan(tuple(p for p, _ in waves), tuple(k for _, k in waves))
 
 
 def factorize_su2(u: np.ndarray, g1: float, g3: float,
-                  tol: float = 1e-9) -> list[ScatterOp]:
+                  tol: float = 1e-9) -> Plan:
     """Express an SU(2) matrix as a plan of at most six scatterings.
 
     Uses the Euler decomposition u = exp(-i sigma_3 a) exp(-i sigma_1 b)
-    exp(-i sigma_3 c); each rotation maps to one or two ops.
+    exp(-i sigma_3 c); each rotation maps to one or two waves.
     """
     if g1 == 0.0 or g3 == 0.0:
         raise ZeroCoupling("both couplings must be nonzero to reach a "
@@ -237,9 +231,7 @@ def factorize_su2(u: np.ndarray, g1: float, g3: float,
     a = 0.5 * (apc + amc)
     c = 0.5 * (apc - amc)
 
-    plan = (_axis_ops(a, "odd", g3)
-            + _axis_ops(b, "even", g1)
-            + _axis_ops(c, "odd", g3))
+    plan = _axis_plan([(a, "odd"), (b, "even"), (c, "odd")], g1, g3)
     err = np.max(np.abs(plan_matrix(plan, g1, g3) - u))
     if err > tol:
         raise NotSpecialUnitary(f"factorization residual {err:g} exceeds "
@@ -247,7 +239,7 @@ def factorize_su2(u: np.ndarray, g1: float, g3: float,
     return plan
 
 
-def interference_pattern(state: MemoryState, op: ScatterOp,
+def interference_pattern(state: MemoryState, wave: Plan,
                          g1: float, g3: float, xs) -> np.ndarray:
     """Interrogating-wave intensity 2[1 + Re(<a, S a> e^{2ikx})] at
     positions x > 0.
@@ -258,17 +250,18 @@ def interference_pattern(state: MemoryState, op: ScatterOp,
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0):
         raise ValueError("sample positions must be positive")
-    amp = np.vdot(state.vec, op_matrix(op, g1, g3) @ state.vec)
-    return 2.0 * (1.0 + np.real(amp * np.exp(2j * op.k * xs)))
+    (k,) = wave.k
+    amp = np.vdot(state.vec, plan_matrix(wave, g1, g3) @ state.vec)
+    return 2.0 * (1.0 + np.real(amp * np.exp(2j * k * xs)))
 
 
-def estimator_phase(op: ScatterOp, g1: float, g3: float) -> float:
-    """The phase to hand to estimate_from_pattern for this op.
+def estimator_phase(wave: Plan, g1: float, g3: float) -> float:
+    """The phase to hand to estimate_from_pattern for this one-wave plan.
 
     With this phase the estimator returns A1 for an odd interrogation
     and A2 for an even one.
     """
-    return -op_angle(op, g1, g3)
+    return -op_angle(wave, g1, g3)
 
 
 def observe(state: MemoryState, which: str,
@@ -304,10 +297,10 @@ def estimate_from_pattern(samples, k: float, phi: float) -> float:
     design = np.column_stack([np.ones_like(xs),
                               np.cos(2.0 * k * xs),
                               np.sin(2.0 * k * xs)])
-    if np.linalg.matrix_rank(design, tol=1e-9) < 3:
+    coeffs, _, _, singular_values = np.linalg.lstsq(design, ys, rcond=None)
+    if np.count_nonzero(singular_values > 1e-9) < 3:
         raise DegenerateSampling("sample positions do not span the fit "
                                  "basis")
-    coeffs, *_ = np.linalg.lstsq(design, ys, rcond=None)
     return float(-coeffs[2] / (2.0 * math.sin(phi)))
 
 
@@ -413,39 +406,37 @@ def _su2_completion(source: MemoryState, target: MemoryState
 
 
 def write(s: MemoryState, target: MemoryState,
-          g1: float, g3: float) -> list[ScatterOp]:
+          g1: float, g3: float) -> Plan:
     """Plan whose matrix maps the standard state to the target, up to a
     global phase."""
     return factorize_su2(_su2_completion(s, target), g1, g3)
 
 
 def reset(current: MemoryState, s: MemoryState,
-          g1: float, g3: float) -> list[ScatterOp]:
+          g1: float, g3: float) -> Plan:
     """Plan whose matrix maps the current state back to the standard
     state, up to a global phase."""
     return factorize_su2(_su2_completion(current, s), g1, g3)
 
 
-def _interrogate(state: MemoryState, op: ScatterOp, g1: float, g3: float,
+def _interrogate(state: MemoryState, wave: Plan, g1: float, g3: float,
                  n_positions: int, noise_sigma: float, rng
                  ) -> tuple[float, MemoryState]:
-    """Measure one interference pattern; returns the estimate and the
-    scattered state."""
-    period = math.pi / op.k
+    """Measure one interference pattern, then undo the one-wave plan's
+    scattering (up to global phase); returns the estimate and the
+    restored state."""
+    (k,) = wave.k
+    period = math.pi / k
     xs = 0.1 * period + np.linspace(0.0, period, n_positions,
                                     endpoint=False)
-    values = interference_pattern(state, op, g1, g3, xs)
+    values = interference_pattern(state, wave, g1, g3, xs)
     if noise_sigma > 0.0:
         values = values + rng.normal(0.0, noise_sigma, size=values.shape)
-    estimate = estimate_from_pattern(zip(xs, values), op.k,
-                                     estimator_phase(op, g1, g3))
-    return estimate, apply_scatter(state, op, g1, g3)
-
-
-def _restore_ops(op: ScatterOp, g1: float, g3: float) -> list[ScatterOp]:
-    """Ops undoing a single scattering (up to global phase)."""
-    coupling = g1 if op.parity == "even" else g3
-    return _axis_ops(-op_angle(op, g1, g3), op.parity, coupling)
+    estimate = estimate_from_pattern(zip(xs, values), k,
+                                     estimator_phase(wave, g1, g3))
+    restore = _axis_plan([(-op_angle(wave, g1, g3), *wave.parity)], g1, g3)
+    return estimate, apply_plan(apply_plan(state, wave, g1, g3), restore,
+                                g1, g3)
 
 
 def _polish(initial: MemoryState, obs: Observables, s: MemoryState
@@ -506,22 +497,17 @@ def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,
     if noise_sigma > 0.0 and rng is None:
         rng = np.random.default_rng()
 
-    cur = state
-    odd_op = ScatterOp("odd", 2.0 / abs(g3))
-    a1_est, cur = _interrogate(cur, odd_op, g1, g3, n_positions,
-                               noise_sigma, rng)
-    cur = apply_plan(cur, _restore_ops(odd_op, g1, g3), g1, g3)
-
-    even_op = ScatterOp("even", abs(g1) / 2.0)
-    a2_est, cur = _interrogate(cur, even_op, g1, g3, n_positions,
-                               noise_sigma, rng)
-    cur = apply_plan(cur, _restore_ops(even_op, g1, g3), g1, g3)
+    a1_est, cur = _interrogate(state, Plan(("odd",), (2.0 / abs(g3),)),
+                               g1, g3, n_positions, noise_sigma, rng)
+    a2_est, cur = _interrogate(cur, Plan(("even",), (abs(g1) / 2.0,)),
+                               g1, g3, n_positions, noise_sigma, rng)
 
     a3 = observe(cur, "A3", s)
-    pre = _axis_ops(A4_PREROTATION_ANGLE, "odd", g3)
+    pre = _axis_plan([(A4_PREROTATION_ANGLE, "odd")], g1, g3)
     rotated = apply_plan(cur, pre, g1, g3)
     a4 = observe(rotated, "A3", s)
-    cur = apply_plan(rotated, _axis_ops(-A4_PREROTATION_ANGLE, "odd", g3),
+    cur = apply_plan(rotated,
+                     _axis_plan([(-A4_PREROTATION_ANGLE, "odd")], g1, g3),
                      g1, g3)
 
     # clip the noisy estimates into the physical range

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from fermi1d import channels, cli, pointcore
 from fermi1d.cli import main
 from fermi1d.errors import PoleAtSpectralPoint
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -351,6 +355,28 @@ class TestMemory:
                                       "script": [{"op": "frobnicate"}]})
         code, _ = run(capsys, ["memory", "--config", cfg])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_script_bytes_are_fixed(self, tmp_path, fmt):
+        # Writes, noiseless reads of written states, one scattering of
+        # each parity and a reset.  The reference files fix the output
+        # bytes: a change to them is a change of public behaviour.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "g1": 1.7, "g3": -2.3,
+            "script": [
+                {"op": "write", "target": [[0.6, 0.0], [0.0, -0.8]]},
+                {"op": "read"},
+                {"op": "scatter", "parity": "even", "k": 0.9},
+                {"op": "scatter", "parity": "odd", "k": 1.6},
+                {"op": "write", "target": [[0.48, -0.36], [0.64, 0.48]]},
+                {"op": "read"},
+                {"op": "reset"},
+            ]})
+        out = tmp_path / f"out.{fmt}"
+        assert main(["memory", "--config", cfg, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"memory_script.{fmt}"
+                                    ).read_bytes()
 
     def test_seed_belongs_to_memory_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fermi1d import pointcore
 from fermi1d import qmemory as qm
 from fermi1d.errors import (
     Ambiguous,
@@ -24,6 +27,49 @@ def haar_su2(rng):
 def random_state(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return qm.MemoryState.from_vec(v / np.linalg.norm(v))
+
+
+_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def reference_wave(parity, k, g1, g3):
+    """Re(e) I + i Im(e) sigma of one wave, e written out per parity."""
+    if parity == "even":
+        e = (2.0 * k - 1j * g1) / (2.0 * k + 1j * g1)
+        return e.real * np.eye(2) + 1j * e.imag * _SIGMA1
+    e = (2.0 - 1j * g3 * k) / (2.0 + 1j * g3 * k)
+    return e.real * np.eye(2) + 1j * e.imag * _SIGMA3
+
+
+def reference_plan_matrix(plan, g1, g3):
+    u = np.eye(2, dtype=complex)
+    for parity, k in zip(plan.parity, plan.k):
+        u = u @ reference_wave(parity, k, g1, g3)
+    return u
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal signs of zero."""
+    np.testing.assert_array_equal(a, b)
+    assert np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64)), (a, b)
+
+
+_coupling = st.floats(0.05, 20.0) | st.floats(-20.0, -0.05)
+_plans = st.lists(st.tuples(st.sampled_from(("even", "odd")),
+                            st.floats(1e-3, 1e3)), max_size=6)
+_bounded = st.floats(0.5, 4.0) | st.floats(-4.0, -0.5)
+
+
+@st.composite
+def states(draw):
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4,
+                               max_size=4)))
+    if np.linalg.norm(v) < 0.1:
+        v = np.array([1.0, 0.0, 0.0, 0.0])
+    z = v[:2] + 1j * v[2:]
+    return qm.MemoryState.from_vec(z / np.linalg.norm(z))
 
 
 def lm_polish(initial, obs, s):
@@ -54,14 +100,14 @@ def lm_polish(initial, obs, s):
 class TestScattering:
     def test_odd_quarter_turn(self):
         state = qm.MemoryState(1.0, 0.0)
-        out = qm.apply_scatter(state, qm.ScatterOp("odd", 1.0),
-                               g1=1.0, g3=2.0)
+        out = qm.apply_plan(state, qm.Plan(("odd",), (1.0,)),
+                            g1=1.0, g3=2.0)
         np.testing.assert_allclose(out.vec, [-1j, 0.0], atol=1e-15)
 
     def test_even_quarter_turn(self):
         state = qm.MemoryState(1.0, 0.0)
-        out = qm.apply_scatter(state, qm.ScatterOp("even", 1.0),
-                               g1=2.0, g3=1.0)
+        out = qm.apply_plan(state, qm.Plan(("even",), (1.0,)),
+                            g1=2.0, g3=1.0)
         np.testing.assert_allclose(out.vec, [0.0, -1j], atol=1e-15)
 
     def test_matrices_are_special_unitary(self):
@@ -71,20 +117,87 @@ class TestScattering:
             assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
 
     def test_rotation_angles(self):
-        op = qm.ScatterOp("odd", 0.8)
-        theta = qm.op_angle(op, g1=0.0, g3=1.5)
+        wave = qm.Plan(("odd",), (0.8,))
+        theta = qm.op_angle(wave, g1=0.0, g3=1.5)
         expected = cmath.exp(-1j * theta)
-        assert qm.op_matrix(op, 0.0, 1.5)[0, 0] == \
+        assert qm.plan_matrix(wave, 0.0, 1.5)[0, 0] == \
             pytest.approx(expected, abs=1e-14)
 
     def test_plan_order(self):
-        # the last op of a plan scatters first
+        # the last wave of a plan scatters first
         g1, g3 = 1.0, 1.0
-        plan = [qm.ScatterOp("even", 0.7), qm.ScatterOp("odd", 1.2)]
-        m = (qm.op_matrix(plan[0], g1, g3)
-             @ qm.op_matrix(plan[1], g1, g3))
+        plan = qm.Plan(("even", "odd"), (0.7, 1.2))
+        m = (qm.plan_matrix(qm.Plan(("even",), (0.7,)), g1, g3)
+             @ qm.plan_matrix(qm.Plan(("odd",), (1.2,)), g1, g3))
         np.testing.assert_allclose(qm.plan_matrix(plan, g1, g3), m,
                                    atol=1e-15)
+
+
+class TestPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(_plans, _coupling, _coupling)
+    def test_matrices_equal_phase_rotation_product(self, waves, g1, g3):
+        plan = qm.Plan(tuple(p for p, _ in waves),
+                       tuple(k for _, k in waves))
+        assert len(plan) == len(waves)
+        assert_same_bits(qm.plan_matrix(plan, g1, g3),
+                         reference_plan_matrix(plan, g1, g3))
+        for parity, k in waves:
+            matrix = (qm.s_plus(g1, k) if parity == "even"
+                      else qm.s_minus(g3, k))
+            assert_same_bits(matrix, reference_wave(parity, k, g1, g3))
+
+    def test_wavenumbers_checked_once_per_plan(self, monkeypatch):
+        calls = {"spectral_points": 0, "eye": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        check = counted("spectral_points", pointcore.spectral_points)
+        monkeypatch.setattr(qm, "spectral_points", check)
+        monkeypatch.setattr(pointcore, "spectral_points", check)
+        monkeypatch.setattr(np, "eye", counted("eye", np.eye))
+        u = haar_su2(np.random.default_rng(17))
+        state = qm.MemoryState.from_vec(u[:, 0])
+        g1, g3 = 1.3, -0.9
+        for build in (lambda: qm.write(qm.STANDARD_STATE, state, g1, g3),
+                      lambda: qm.reset(state, qm.STANDARD_STATE, g1, g3),
+                      lambda: qm.factorize_su2(u, g1, g3)):
+            calls["spectral_points"] = 0
+            plan = build()
+            assert len(plan) > 1
+            assert calls["spectral_points"] == 1
+        calls.update(spectral_points=0, eye=0)
+        qm.plan_matrix(plan, g1, g3)
+        assert calls["spectral_points"] == 0
+        assert calls["eye"] <= 1    # none per wave
+
+    def test_rejects_bad_waves(self):
+        for parity, k in ((("even", "sideways"), (1.0, 1.0)),
+                          (("odd",), (1.0, 2.0)),
+                          (("even", "odd"), (1.0, 0.0)),
+                          (("odd",), (float("nan"),))):
+            with pytest.raises(ValueError):
+                qm.Plan(parity, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(states(), _bounded, _bounded)
+    def test_write_reset_round_trip(self, target, g1, g3):
+        s = qm.STANDARD_STATE
+        plan = qm.write(s, target, g1, g3)
+        written = qm.apply_plan(s, plan, g1, g3)
+        assert written.distance_up_to_phase(target) < 1e-12
+        back = qm.reset(written, s, g1, g3)
+        assert qm.apply_plan(written, back, g1, g3
+                             ).distance_up_to_phase(s) < 1e-12
+        for p in (plan, back):
+            u = qm.plan_matrix(p, g1, g3)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(2),
+                                       rtol=0, atol=1e-12)
+            assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
 class TestFactorization:
@@ -98,7 +211,7 @@ class TestFactorization:
             assert err < 1e-9
 
     def test_identity_is_empty_plan(self):
-        assert qm.factorize_su2(np.eye(2), 1.0, 1.0) == []
+        assert len(qm.factorize_su2(np.eye(2), 1.0, 1.0)) == 0
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotSpecialUnitary):
@@ -116,7 +229,7 @@ class TestFactorization:
 class TestReadout:
     def test_pattern_value(self):
         state = qm.MemoryState(1.0, 0.0)
-        vals = qm.interference_pattern(state, qm.ScatterOp("odd", 1.0),
+        vals = qm.interference_pattern(state, qm.Plan(("odd",), (1.0,)),
                                        g1=0.0, g3=2.0,
                                        xs=[math.pi / 4.0])
         assert vals[0] == pytest.approx(4.0, abs=1e-14)
@@ -131,20 +244,20 @@ class TestReadout:
 
     def test_estimator_recovers_a1(self):
         state = qm.MemoryState(0.8, 0.6j)
-        op = qm.ScatterOp("odd", 1.0)
+        wave = qm.Plan(("odd",), (1.0,))
         xs = np.linspace(0.1, 3.0, 60)
-        vals = qm.interference_pattern(state, op, 1.0, 2.0, xs)
-        est = qm.estimate_from_pattern(zip(xs, vals), op.k,
-                                       qm.estimator_phase(op, 1.0, 2.0))
+        vals = qm.interference_pattern(state, wave, 1.0, 2.0, xs)
+        est = qm.estimate_from_pattern(zip(xs, vals), 1.0,
+                                       qm.estimator_phase(wave, 1.0, 2.0))
         assert est == pytest.approx(qm.observe(state, "A1"), abs=1e-12)
 
     def test_estimator_recovers_a2(self):
         state = qm.MemoryState(0.8, 0.6 * cmath.exp(0.4j))
-        op = qm.ScatterOp("even", 1.0)
+        wave = qm.Plan(("even",), (1.0,))
         xs = np.linspace(0.1, 3.0, 60)
-        vals = qm.interference_pattern(state, op, 2.0, 1.0, xs)
-        est = qm.estimate_from_pattern(zip(xs, vals), op.k,
-                                       qm.estimator_phase(op, 2.0, 1.0))
+        vals = qm.interference_pattern(state, wave, 2.0, 1.0, xs)
+        est = qm.estimate_from_pattern(zip(xs, vals), 1.0,
+                                       qm.estimator_phase(wave, 2.0, 1.0))
         assert est == pytest.approx(qm.observe(state, "A2"), abs=1e-12)
 
     def test_phase_blind(self):
