@@ -46,13 +46,13 @@ _MODES = ("left", "right", "even", "odd")
 _COUPLINGS = ("c1", "c2", "c3")
 
 
-def _as_hermitian(mats, names=_COUPLINGS) -> np.ndarray:
+def _as_hermitian(mats, names=_COUPLINGS, per_site=False) -> np.ndarray:
     """The stack mats, shape (p, n, n), as complex hermitian matrices,
-    matrix i being the coupling names[i % len(names)].  Each matrix is
-    hermitian within 1e-12 of its own largest entry, so round-off of
-    large couplings passes and asymmetry of small ones does not.  Raises
-    ValueError naming the first matrix that is not square, finite or
-    hermitian."""
+    matrix i being coupling names[i % len(names)] of site i // len(names).
+    Each is hermitian within 1e-12 of its own largest entry, so round-off
+    of large couplings passes and asymmetry of small ones does not.
+    Raises ValueError naming the first matrix not square, finite or
+    hermitian, and with `per_site` its site."""
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"{names[0]} must be a square matrix")
@@ -63,7 +63,8 @@ def _as_hermitian(mats, names=_COUPLINGS) -> np.ndarray:
     good = finite & (asym <= 1e-12 * np.abs(mats).max(axis=(-2, -1)))
     if not good.all():
         first = int(np.argmin(good))
-        raise ValueError(f"{names[first % len(names)]} must be "
+        where = f"site {first // len(names)}: " if per_site else ""
+        raise ValueError(f"{where}{names[first % len(names)]} must be "
                          + ("hermitian" if finite[first] else "finite"))
     return mats
 
@@ -113,7 +114,7 @@ class SiteArray:
 
     `SiteArray(sites)` takes (position, MatrixCouplings) pairs;
     `SiteArray.from_arrays(positions, couplings)` takes the two arrays.
-    Both check the whole array at once.
+    Both check the whole array at once, naming a bad site by its index.
     """
 
     positions: np.ndarray
@@ -148,7 +149,7 @@ class SiteArray:
                              "for m positions")
         # site by site, as each site's couplings are checked in turn
         _as_hermitian(couplings.swapaxes(0, 1).reshape(
-            (3 * positions.size,) + couplings.shape[2:]))
+            (3 * positions.size,) + couplings.shape[2:]), per_site=True)
         _check_positions(positions)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "couplings", couplings)

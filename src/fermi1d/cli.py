@@ -9,11 +9,12 @@ stdout or --out.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import functools
-import io
+import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -46,10 +47,14 @@ def _grid(config: dict, key: str) -> np.ndarray:
         try:
             grid = np.linspace(float(spec["start"]), float(spec["stop"]),
                                int(spec["num"]))
+            if grid.size != float(spec["num"]):
+                raise ValueError(f"'num' must be whole, not {spec['num']}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid spec for '{key}': {exc}") from exc
     else:
         try:
+            if isinstance(spec, str):
+                raise TypeError("a string is not a list of numbers")
             grid = np.asarray([float(v) for v in spec])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid for '{key}': {exc}") from exc
@@ -109,49 +114,38 @@ def cmd_smatrix(config: dict) -> dict:
             "unitarity_residual": unit}
 
 
-def _stacked_sites(raw: list) -> channels.SiteArray:
-    """The sites of a well-formed config as one positions list and one
-    coupling stack, checked once; scalar sites are 1 x 1 matrices."""
-    positions, couplings = [], ([], [], [])
-    for entry in raw:
-        positions.append(float(entry["position"]))
-        for stack, c, g in zip(couplings, ("c1", "c2", "c3"),
-                               ("g1", "g2", "g3")):
-            stack.append(entry[c] if "c1" in entry
-                         else [[float(entry.get(g, 0.0))]])
-    return channels.SiteArray.from_arrays(positions, couplings)
-
-
 def _site_array(config: dict) -> channels.SiteArray:
+    """The `sites` of a config in one pass: matrices c1..c3, or scalars
+    g1..g3 (0 if absent) as 1 x 1 matrices, stacked for the array to
+    check at once.  An error in one site names its index."""
     raw = config.get("sites")
     if not isinstance(raw, list):
         raise ConfigError("'sites' must be a list")
-    if raw:
+    positions, sites = [], []
+    for i, entry in enumerate(raw):
         try:
-            return _stacked_sites(raw)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            # malformed: reading it site by site below raises the error
-            # of the first bad site, in the order the checks meet it
-            pass
-    sites = []
-    for entry in raw:
-        try:
-            pos = float(entry["position"])
-            if "c1" in entry:
-                coup = channels.MatrixCouplings(
-                    np.array(entry["c1"], dtype=complex),
-                    np.array(entry["c2"], dtype=complex),
-                    np.array(entry["c3"], dtype=complex))
-            else:
-                coup = channels.MatrixCouplings.from_scalars(
-                    float(entry.get("g1", 0.0)),
-                    float(entry.get("g2", 0.0)),
-                    float(entry.get("g3", 0.0)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad site entry: {exc}") from exc
-        sites.append((pos, coup))
+            positions.append(float(entry["position"]))
+            if "c1" not in entry:
+                sites.append([[[float(entry.get(g, 0.0))]]
+                              for g in ("g1", "g2", "g3")])
+                continue
+            site = [np.array(entry[c], dtype=complex)
+                    for c in ("c1", "c2", "c3")]
+            for c, m in zip(("c1", "c2", "c3"), site):
+                if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                    raise ValueError(f"{c} must be a square matrix")
+            if not site[0].shape == site[1].shape == site[2].shape:
+                raise ValueError("coupling matrices must share one dimension")
+            sites.append(site)
+        except KeyError as exc:
+            raise ConfigError(f"site {i} needs {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"site {i}: {exc}") from exc
+    if len({len(site[0]) for site in sites}) > 1:
+        raise ConfigError("all sites must share the channel count")
     try:
-        return channels.SiteArray(sites)
+        return channels.SiteArray.from_arrays(
+            positions, list(zip(*sites)) or np.zeros((3, 0, 1, 1)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -175,21 +169,17 @@ def cmd_scatter(config: dict) -> list[dict]:
         raise ConfigError(str(exc)) from exc
     s, singular = channels.full_s_matrix_grid(sites, k_grid)
     sol = channels.ScatteringSolution.from_s_matrix(s, wave)
-
-    def pairs(z):
-        return np.stack([z.real, z.imag], axis=-1).tolist()
-
+    names = ("outgoing_left", "outgoing_right", "reflection", "transmission",
+             "flux_residual")
+    solution = zip(*(np.stack([v.real, v.imag], axis=-1).tolist()
+                     if np.iscomplexobj(v) else v.tolist()
+                     for v in (getattr(sol, name) for name in names)))
     rows = []
-    for k, flagged, left, right, refl, trans, flux in zip(
-            k_grid.tolist(), singular.tolist(), pairs(sol.outgoing_left),
-            pairs(sol.outgoing_right), sol.reflection.tolist(),
-            sol.transmission.tolist(), sol.flux_residual.tolist()):
-        row = {"k": k, "mode": mode, "singular": flagged}
-        if not flagged:
-            row.update({"outgoing_left": left, "outgoing_right": right,
-                        "reflection": refl, "transmission": trans,
-                        "flux_residual": flux})
-        rows.append(row)
+    for k, flagged, values in zip(k_grid.tolist(), singular.tolist(),
+                                  solution):
+        rows.append({"k": k, "mode": mode, "singular": flagged})
+        if not flagged:     # a singular row has no solution
+            rows[-1].update(zip(names, values))
     return rows
 
 
@@ -228,13 +218,15 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
             raise ConfigError(f"script entry {idx} needs an 'op' field")
         op = cmd["op"]
         event = {"step": idx, "op": op}
-        if op == "write":
-            target = _parse_state(cmd.get("target"), "write target")
-            plan = qmemory.write(state, target, g1, g3)
+        if op in ("write", "reset"):
+            target = (standard if op == "reset" else
+                      _parse_state(cmd.get("target"), "write target"))
+            plan = (qmemory.write if op == "write" else qmemory.reset)(
+                state, target, g1, g3)
             state = qmemory.apply_plan(state, plan, g1, g3)
             event["plan"] = [{"parity": p, "k": k}
                              for p, k in zip(plan.parity, plan.k)]
-            event["write_error"] = state.distance_up_to_phase(target)
+            event[op + "_error"] = state.distance_up_to_phase(target)
         elif op == "read":
             try:
                 sigma = float(cmd.get("noise_sigma", 0.0))
@@ -246,20 +238,12 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
             before = state
             obs, recovered, state = qmemory.read_protocol(
                 state, standard, g1, g3, noise_sigma=sigma, rng=rng)
-            event["observables"] = {
-                "A1": obs.A1, "A2": obs.A2, "A3": obs.A3, "A4": obs.A4}
-            event["recovered_state"] = [_cnum(recovered.a1),
-                                        _cnum(recovered.a2)]
-            event["recovery_error"] = \
-                recovered.distance_up_to_phase(before)
-            event["restoration_error"] = \
-                state.distance_up_to_phase(before)
-        elif op == "reset":
-            plan = qmemory.reset(state, standard, g1, g3)
-            state = qmemory.apply_plan(state, plan, g1, g3)
-            event["plan"] = [{"parity": p, "k": k}
-                             for p, k in zip(plan.parity, plan.k)]
-            event["reset_error"] = state.distance_up_to_phase(standard)
+            event.update(
+                observables={"A1": obs.A1, "A2": obs.A2, "A3": obs.A3,
+                             "A4": obs.A4},
+                recovered_state=[_cnum(recovered.a1), _cnum(recovered.a2)],
+                recovery_error=recovered.distance_up_to_phase(before),
+                restoration_error=state.distance_up_to_phase(before))
         elif op == "scatter":
             try:
                 wave = qmemory.Plan((cmd.get("parity"),),
@@ -281,7 +265,8 @@ def cmd_verify(config: dict) -> tuple[list[dict], bool]:
             raise ConfigError("'checks' must be a list of names")
         if not names:
             raise ConfigError("'checks' must not be empty")
-        unknown = [n for n in names if n not in verify.default_suite()]
+        unknown = [n for n in names if not isinstance(n, str)
+                   or n not in verify.default_suite()]
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
     reports = verify.run_suite(names)
@@ -291,99 +276,112 @@ def cmd_verify(config: dict) -> tuple[list[dict], bool]:
     return rows, all(r.passed for r in reports)
 
 
-def _flatten(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return str(value)
+_ABSENT = object()      # the cell of a row that lacks its column's key
+_NEEDS_QUOTES = re.compile(r'[,"\n]').search     # as csv's QUOTE_MINIMAL
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
-def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(rows, sort_keys=True, indent=2,
-                          separators=(",", ": ")) + "\n"
-    else:
-        keys = []
-        for row in rows:
-            for key in row:
-                if key not in keys:
-                    keys.append(key)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_flatten(row.get(k)) for k in keys])
-        text = buf.getvalue()
-    _write(text, out_path)
-
-
-def _cells(col: np.ndarray, fmt: str) -> list[str]:
-    """A column's values as _emit writes them: bools as true/false,
-    floats as json writes them (repr) or as %.17g, NaN as null.  Each
-    distinct float is formatted once."""
+def _float_cells(col: np.ndarray, fmt: str) -> list[str]:
+    """Bools as true/false, floats as json writes them (repr) or as
+    %.17g, NaN as null.  Each distinct float is formatted once."""
     if col.dtype == bool:
         return np.where(col, "true", "false").tolist()
     distinct, where = np.unique(np.ascontiguousarray(col).view(np.int64),
                                 return_inverse=True)
     floats = distinct.view(float)
-    if fmt == "json":
-        text = np.array(repr(floats.tolist())[1:-1].split(", "), dtype=object)
-    else:
-        text = np.array(["%.17g" % v for v in floats.tolist()], dtype=object)
+    text = np.array(repr(floats.tolist())[1:-1].split(", ") if fmt == "json"
+                    else ["%.17g" % v for v in floats.tolist()], dtype=object)
     text[np.isnan(floats)] = "null" if fmt == "json" else ""
     return text[where.ravel()].tolist()
 
 
-def _emit_columns(columns: dict, fmt: str, out_path: str | None) -> None:
-    """Write a table of equal-length columns, keyed in row order, with
-    the bytes `_emit` writes for the same rows.  Complex columns are
-    [re, im] pairs; finite floats are assumed, NaN meaning null.
+def _json_items(values: list, fmt: str) -> list[str]:
+    """json's text of each of `values`: compact for csv, and for json
+    indented as a row's value, at depth 2.  One indented encode of the
+    list, indented once more, parts at a comma, a line break and exactly
+    four spaces: json escapes line breaks inside strings."""
+    text = json.dumps(values, sort_keys=True, indent=2, separators=(
+        ",", ":" if fmt == "csv" else ": "))
+    items = re.split(r",\n    (?! )", text.replace("\n", "\n  ")[6:-4])
+    return items if fmt == "json" else [re.sub(r"\n *", "", item)
+                                        for item in items]
 
-    Every row is filled into one template built from the keys: sorted
-    and indented for JSON, comma-joined for CSV.
-    """
+
+@functools.cache
+def _template(shape: tuple, fmt: str) -> str:
+    """json's text of a value with trailing axes `shape`, %s at a leaf."""
+    return _json_items([np.zeros(shape).tolist()], fmt)[0].replace("0.0", "%s")
+
+
+def _table_text(columns: dict | list, fmt: str) -> str:
+    """Rows, or columns keyed in row order, as JSON (row objects, keys
+    sorted, indented by two) or CSV (a header of the keys in order).  A
+    column is a numpy array of floats (NaN is null), bools or complex
+    [re, im] pairs, trailing axes nested; or a list of JSON values,
+    _ABSENT where a row lacks the key.  Every row holds a key.  Each
+    column is formatted once, and each run of rows with the same keys is
+    filled from one % template."""
+    if isinstance(columns, list):       # rows
+        keys = dict.fromkeys(key for row in columns for key in row)
+        columns = {key: [row.get(key, _ABSENT) for row in columns]
+                   for key in keys}
     keys = sorted(columns) if fmt == "json" else list(columns)
+    n = len(columns[keys[0]]) if keys else 0
+    # csv writes null, floats and strings as they are, and json the rest
+    own = (float, str, type(None)) if fmt == "csv" else ()
     formatted = {}   # equal columns (S++ and S--, f2 and f4) share cells
-
-    def cells(col, cell_fmt):
-        memo = (col.dtype.str, col.tobytes(), cell_fmt)
-        if memo not in formatted:
-            formatted[memo] = _cells(col, cell_fmt)
-        return formatted[memo]
-
-    fields, slots = [], []
+    fields, cells, present = [], [], []
     for key in keys:
-        col = columns[key]
-        if np.iscomplexobj(col):
-            # a pair is a json list in both formats
-            slots += [cells(col.real, "json"), cells(col.imag, "json")]
-            fields.append(f'"{key}": [\n      %s,\n      %s\n    ]'
-                          if fmt == "json" else '"[%s,%s]"')
+        col, template, have = columns[key], "%s", None
+        if isinstance(col, np.ndarray):
+            if np.iscomplexobj(col):    # a view: [re, im] on a last axis
+                col = col[..., None].view(float)
+            leaf_fmt = fmt if col.ndim == 1 else "json"   # nested: json
+            leaves = []
+            for leaf in (col.reshape(n, -1).T if col.ndim > 1 else [col]):
+                memo = (leaf.dtype.str, leaf.tobytes(), leaf_fmt)
+                if memo not in formatted:
+                    formatted[memo] = _float_cells(leaf, leaf_fmt)
+                leaves.append(formatted[memo])
+            template = _template(col.shape[1:], fmt)
         else:
-            slots.append(cells(col, fmt))
-            fields.append(f'"{key}": %s' if fmt == "json" else "%s")
+            texts = iter(_json_items([v for v in col if v is not _ABSENT
+                                      and not isinstance(v, own)], fmt))
+            if fmt == "json":
+                leaves = [[None if v is _ABSENT else next(texts) for v in col]]
+                have = [v is not _ABSENT for v in col]
+            else:   # a csv row has every field, empty where it is absent
+                leaves = [["" if v is None or v is _ABSENT
+                           else "%.17g" % v if isinstance(v, float)
+                           else _csv_field(v) if isinstance(v, str)
+                           else _csv_field(next(texts)) for v in col]]
+        fields.append(_csv_field(template) if fmt == "csv" else
+                      json.dumps(key).replace("%", "%%") + ": " + template)
+        cells.append(leaves)
+        present.append(have)
+    rows, start = [], 0
+    lists = [have for have in present if have is not None]
+    for size in ([len(list(run)) for _, run in itertools.groupby(
+            zip(*lists))] if lists else [n]):
+        keep = [i for i, have in enumerate(present)
+                if have is None or have[start]]
+        row = (",".join(fields[i] for i in keep) if fmt == "csv" else
+               "  {\n    " + ",\n    ".join(fields[i] for i in keep) + "\n  }")
+        slots = [c if size == n else c[start:start + size]
+                 for i in keep for c in cells[i]]
+        # a row of only empty arrays has no slot
+        rows += ([row % values for values in zip(*slots)] if slots
+                 else [row % ()] * size)
+        start += size
     if fmt == "json":
-        row = "  {\n    " + ",\n    ".join(fields) + "\n  }"
-        text = ("[\n" + ",\n".join(row % values for values in zip(*slots))
-                + "\n]\n")
-    else:
-        row = ",".join(fields) + "\n"
-        text = ",".join(keys) + "\n" + "".join(
-            row % values for values in zip(*slots))
-    _write(text, out_path)
+        return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    lines = [",".join(map(_csv_field, keys))] + rows
+    if len(keys) == 1:      # csv quotes a row's one empty field
+        lines = [line or '""' for line in lines]
+    return "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -416,17 +414,15 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         if args.command == "resolvent":
-            table, emit = cmd_resolvent(config), _emit_columns
+            table, passed = cmd_resolvent(config), True
         elif args.command == "smatrix":
-            table, emit = cmd_smatrix(config), _emit_columns
+            table, passed = cmd_smatrix(config), True
         elif args.command == "scatter":
-            table, emit = cmd_scatter(config), _emit
+            table, passed = cmd_scatter(config), True
         elif args.command == "memory":
-            table, emit = cmd_memory(config, args.seed), _emit
+            table, passed = cmd_memory(config, args.seed), True
         else:
-            table, all_passed = cmd_verify(config)
-            _emit(table, args.format, args.out)
-            return 0 if all_passed else 1
+            table, passed = cmd_verify(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -434,8 +430,10 @@ def main(argv=None) -> int:
         # OverflowError: x ** 2 of a float above about 1.3e154
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    emit(table, args.format, args.out)
-    return 0
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(_table_text(table, args.format))
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

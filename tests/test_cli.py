@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermi1d import channels, cli, pointcore
 from fermi1d.cli import main
@@ -28,6 +32,77 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def _flatten(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return str(value)
+
+
+def reference_text(rows, fmt):
+    """The row writer the CLI's column writer replaced: one json.dumps of
+    the whole table, or csv.writer over each row's flattened values."""
+    if fmt == "json":
+        return json.dumps(rows, sort_keys=True, indent=2,
+                          separators=(",", ": ")) + "\n"
+    keys = []
+    for row in rows:
+        for key in row:
+            if key not in keys:
+                keys.append(key)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow([_flatten(row.get(k)) for k in keys])
+    return buf.getvalue()
+
+
+# JSON values for random tables, with the characters csv quotes and
+# json escapes or nests by
+TEXT = st.text(st.sampled_from('ab ,"[]{}:%\\\n\ré'), max_size=6)
+KEYS = st.sampled_from(["k", "mode", "plan", "a,b", 'say "x"', "x:y",
+                        "[z", "{w", "100%", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+    | st.floats(allow_nan=False, allow_infinity=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3), max_leaves=8)
+
+
+# Configs whose output bytes, in JSON and in CSV, are fixed by files in
+# tests/data generated before the commands shared one writer.
+GOLDEN = {
+    "resolvent_pole": ("resolvent", {
+        "schema": 1, "couplings": [2.0, 0.0, 2.0],
+        "kappa_grid": [0.25, 1.0, 1.5, 1e3]}),
+    "smatrix_signed_zero": ("smatrix", {
+        "schema": 1, "couplings": [-0.0, -0.7, 1.3],
+        "k_grid": [1e-3, 0.5, 1.0, 7.0]}),
+    # a Dirichlet box on [0, 1] with a mode embedded at k = pi
+    "scatter_singular": ("scatter", {
+        "schema": 1, "sites": [{"position": 0.0, "g2": 2.0},
+                               {"position": 1.0, "g2": -2.0}],
+        "k_grid": [1.0, math.pi, 4.0], "mode": "left"}),
+    "scatter_two_channel": ("scatter", {
+        "schema": 1, "mode": "even", "k_grid": [0.4, 1.3, 2.9],
+        "amplitudes": [[0.6, 0.0], [0.0, -0.8]],
+        "sites": [{"position": -0.5, "c1": [[1.0, 0.3], [0.3, -0.4]],
+                   "c2": [[0.2, 0.0], [0.0, 0.1]],
+                   "c3": [[0.0, -0.6], [-0.6, 0.5]]},
+                  {"position": 0.7, "c1": [[2.0, 0.0], [0.0, 1.0]],
+                   "c2": [[0.0, 0.4], [0.4, 0.0]],
+                   "c3": [[0.3, 0.0], [0.0, -0.2]]}]}),
+    "memory_empty": ("memory", {"schema": 1, "g1": 2.0, "g3": 2.0,
+                                "script": []}),
+}
+
+
 class TestResolvent:
     def test_basic_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,
@@ -50,11 +125,13 @@ class TestResolvent:
         assert rows[0]["f1"] is None
 
     def test_empty_grid_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"schema": 1,
-                                      "couplings": [1, 0, 0],
-                                      "kappa_grid": []})
-        code, _ = run(capsys, ["resolvent", "--config", cfg])
-        assert code == 2
+        # also a string, which iterates by character, and a fractional
+        # point count
+        for grid in ([], "123", {"start": 1, "stop": 2, "num": 2.9}):
+            cfg = write_config(tmp_path, {"schema": 1,
+                                          "couplings": [1, 0, 0],
+                                          "kappa_grid": grid})
+            assert run(capsys, ["resolvent", "--config", cfg]) == (2, "")
 
     def test_bad_schema(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 2,
@@ -64,12 +141,13 @@ class TestResolvent:
         assert code == 2
 
     def test_linspace_grid(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "schema": 1, "couplings": [1, 0, 0],
-            "kappa_grid": {"start": 0.5, "stop": 2.0, "num": 4}})
-        code, out = run(capsys, ["resolvent", "--config", cfg])
-        assert code == 0
-        assert len(json.loads(out)) == 4
+        for num in (4, 4.0):
+            cfg = write_config(tmp_path, {
+                "schema": 1, "couplings": [1, 0, 0],
+                "kappa_grid": {"start": 0.5, "stop": 2.0, "num": num}})
+            code, out = run(capsys, ["resolvent", "--config", cfg])
+            assert code == 0
+            assert len(json.loads(out)) == 4
 
 
     def test_non_finite_row_is_domain_error(self, tmp_path, capsys):
@@ -215,7 +293,8 @@ class TestScatter:
 
     @pytest.mark.parametrize("case", ["non_hermitian_c2", "ragged_c1",
                                       "non_square_c3", "nan_in_c3",
-                                      "mixed_channel_counts", "unordered"])
+                                      "mixed_channel_counts", "unordered",
+                                      "missing_c3", "bad_second_site"])
     def test_matrix_site_errors(self, tmp_path, capsys, case):
         eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
 
@@ -226,17 +305,23 @@ class TestScatter:
         ragged = [[1.0, 0.0], [0.0]]
         with pytest.raises(ValueError) as numpy_error:
             np.array(ragged, dtype=complex)
+        missing_c3 = site(0.0)
+        del missing_c3["c3"]
         sites, message = {
             "non_hermitian_c2": ([site(0.0, c2=[[0.0, 1.0], [0.0, 0.0]])],
-                                 "bad site entry: c2 must be hermitian"),
+                                 "site 0: c2 must be hermitian"),
             "ragged_c1": ([site(0.0, c1=ragged)],
-                          f"bad site entry: {numpy_error.value}"),
+                          f"site 0: {numpy_error.value}"),
             "non_square_c3": ([site(0.0, c3=[[1.0, 0.0, 0.0],
                                              [0.0, 1.0, 0.0]])],
-                              "bad site entry: c3 must be a square matrix"),
+                              "site 0: c3 must be a square matrix"),
             "nan_in_c3": ([site(0.0), site(1.0, c3=[[1.0, float("nan")],
                                                    [float("nan"), 0.0]])],
-                          "bad site entry: c3 must be finite"),
+                          "site 1: c3 must be finite"),
+            "missing_c3": ([missing_c3], "site 0 needs 'c3'"),
+            "bad_second_site": ([site(0.0), site("near")],
+                                "site 1: could not convert string to "
+                                "float: 'near'"),
             "mixed_channel_counts": ([{"position": 0.0, "g1": 1.0},
                                       site(1.0)],
                                      "all sites must share the channel "
@@ -404,12 +489,64 @@ class TestVerify:
         assert not json.loads(out)[0]["passed"]
 
     def test_empty_selection_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"schema": 1, "checks": []})
-        code, _ = run(capsys, ["verify", "--config", cfg])
-        assert code == 2
+        # also names that are not strings
+        for checks in ([], [{}], [["a"]]):
+            cfg = write_config(tmp_path, {"schema": 1, "checks": checks})
+            assert run(capsys, ["verify", "--config", cfg]) == (2, "")
 
 
 class TestOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_command_bytes_are_fixed(self, tmp_path, name, fmt):
+        command, config = GOLDEN[name]
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / f"out.{fmt}"
+        assert main([command, "--config", cfg, "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.dictionaries(KEYS, JSON_VALUES, min_size=1),
+                         max_size=6),
+           fmt=st.sampled_from(["json", "csv"]))
+    def test_row_tables_match_reference(self, rows, fmt):
+        assert cli._table_text(rows, fmt) == reference_text(rows, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5),
+           fmt=st.sampled_from(["json", "csv"]))
+    def test_array_tables_match_reference(self, data, n, fmt):
+        # numpy columns: NaN is null at the top level and inside nested
+        # values, and a complex number is an [re, im] pair
+        columns = {}
+        for key in data.draw(st.lists(KEYS, min_size=1, max_size=4,
+                                      unique=True)):
+            shape = (n,) + tuple(data.draw(st.lists(
+                st.integers(0, 3), max_size=2)))
+            kind = data.draw(st.sampled_from(["float", "complex", "bool"]))
+            values = np.array(data.draw(st.lists(
+                st.floats(allow_infinity=False, width=64),
+                min_size=2 * math.prod(shape),
+                max_size=2 * math.prod(shape))))
+            if kind == "float":
+                columns[key] = values[::2].reshape(shape)
+            elif kind == "complex":
+                columns[key] = (values[::2] + 1j * values[1::2]).reshape(shape)
+            else:
+                columns[key] = (values[::2] > 0).reshape(shape)
+
+        def plain(a):
+            if a.dtype.kind == "c":
+                a = np.stack([a.real, a.imag], axis=-1)
+            return [None if isinstance(v, float) and math.isnan(v) else v
+                    for v in a.tolist()] if a.ndim == 1 else [
+                plain(sub) for sub in a]
+
+        rows = [dict(zip(columns, values))
+                for values in zip(*map(plain, columns.values()))]
+        assert cli._table_text(columns, fmt) == reference_text(rows, fmt)
+
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,
                                       "couplings": [1, 0, 0],
@@ -438,8 +575,8 @@ class TestOutput:
                                    (-1.2, 0.3, -0.8)])
     def test_grid_bytes_match_row_path(self, tmp_path, g):
         # The row-by-row path that the grid kernels replaced, built from
-        # the scalar functions and written by the row writer.  The grid
-        # holds a pole row of (2, 0, 2) at kappa = 1.
+        # the scalar functions and written by the reference row writer.
+        # The grid holds a pole row of (2, 0, 2) at kappa = 1.
         grid = sorted([1.0, 1e-3, 1e3] + list(np.linspace(0.05, 7.0, 40)))
         resolvent_rows = []
         for kappa in grid:
@@ -468,17 +605,12 @@ class TestOutput:
                                    ("smatrix", "k_grid", smatrix_rows)):
             cfg = write_config(tmp_path, {"schema": 1, "couplings": list(g),
                                           key: grid})
-            ref_csv = tmp_path / "ref.csv"
-            cli._emit(rows, "csv", str(ref_csv))
-            expected = {"json": (json.dumps(rows, sort_keys=True, indent=2,
-                                            separators=(",", ": "))
-                                 + "\n").encode(),
-                        "csv": ref_csv.read_bytes()}
-            for fmt, ref in expected.items():
+            for fmt in ("json", "csv"):
                 out = tmp_path / f"out.{fmt}"
                 assert main([command, "--config", cfg, "--format", fmt,
                              "--out", str(out)]) == 0
-                assert out.read_bytes() == ref, (command, fmt)
+                assert out.read_bytes() == reference_text(
+                    rows, fmt).encode(), (command, fmt)
         assert any(row["pole"] for row in resolvent_rows) == (g[0] == 2.0)
 
     def test_missing_config_file(self, tmp_path, capsys):
