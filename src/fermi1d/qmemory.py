@@ -25,8 +25,7 @@ from .errors import (
     PhaseBlind,
     ZeroCoupling,
 )
-from .pointcore import (even_phase, odd_phase, parity_factor, parity_terms,
-                        spectral_points)
+from .pointcore import parity_factor, parity_terms, spectral_points
 
 __all__ = [
     "MemoryState",
@@ -76,9 +75,11 @@ class MemoryState:
 
     def distance_up_to_phase(self, other: "MemoryState") -> float:
         """Minimum 2-norm distance over a global phase."""
-        inner = np.vdot(self.vec, other.vec)
+        inner = (self.a1.conjugate() * other.a1
+                 + self.a2.conjugate() * other.a2)
         phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-        return float(np.linalg.norm(self.vec * phase - other.vec))
+        return math.hypot(abs(self.a1 * phase - other.a1),
+                          abs(self.a2 * phase - other.a2))
 
 
 # Reference state with both components nonzero and a non-real relative
@@ -137,23 +138,37 @@ class AdmissibilityReport:
     density_matrix: np.ndarray
 
 
-def _su2(parity: str, e: complex) -> np.ndarray:
-    """Re(e) I + i Im(e) sigma, sigma_1 for an even wave and sigma_3 for
-    an odd one: exp(i arg(e) sigma) for a unimodular parity factor e."""
-    if parity == "even":
-        off = complex(0.0, e.imag)
-        return np.array([[e.real, off], [off, e.real]])
-    return np.array([[e, 0.0], [0.0, e.conjugate()]])
+def _pair(plan: Plan, g1: float, g3: float) -> tuple[complex, complex]:
+    """The plan's SU(2) product, first wave leftmost, as (alpha, beta) of
+    [[alpha, beta], [-beta*, alpha*]]; a wave is Re(e) I + i Im(e) sigma."""
+    alpha, beta = 1 + 0j, 0j
+    for parity, k in zip(plan.parity, plan.k):
+        e = parity_factor(*parity_terms(parity, k, g1, g3))
+        a, b = ((complex(e.real), complex(0.0, e.imag)) if parity == "even"
+                else (e, 0j))
+        alpha, beta = (alpha * a - beta * b.conjugate(),
+                       alpha * b + beta * a.conjugate())
+    return alpha, beta
+
+
+def _matrix(alpha: complex, beta: complex) -> np.ndarray:
+    return np.array([[alpha, beta], [-beta.conjugate(), alpha.conjugate()]])
+
+
+def _scatter(alpha: complex, beta: complex, a: MemoryState) -> MemoryState:
+    """The state a after the SU(2) element of the pair (alpha, beta)."""
+    return MemoryState(alpha * a.a1 + beta * a.a2,
+                       alpha.conjugate() * a.a2 - beta.conjugate() * a.a1)
 
 
 def s_minus(g3: float, k: float) -> np.ndarray:
     """Odd-wave scattering matrix exp(-i sigma_3 2 arctan(g3 k / 2))."""
-    return _su2("odd", odd_phase(g3, k))
+    return plan_matrix(Plan(("odd",), (float(k),)), 0.0, g3)
 
 
 def s_plus(g1: float, k: float) -> np.ndarray:
     """Even-wave scattering matrix exp(-i sigma_1 2 arctan(g1/(2k)))."""
-    return _su2("even", even_phase(g1, k))
+    return plan_matrix(Plan(("even",), (float(k),)), g1, 0.0)
 
 
 def op_angle(wave: Plan, g1: float, g3: float) -> float:
@@ -167,17 +182,14 @@ def op_angle(wave: Plan, g1: float, g3: float) -> float:
 def plan_matrix(plan: Plan, g1: float, g3: float) -> np.ndarray:
     """Ordered product of the plan's wave matrices, first wave leftmost,
     from the wavenumbers the plan checked."""
-    u = np.eye(2, dtype=complex)
-    for parity, k in zip(plan.parity, plan.k):
-        u = u @ _su2(parity, parity_factor(*parity_terms(parity, k, g1, g3)))
-    return u
+    return _matrix(*_pair(plan, g1, g3))
 
 
 def apply_plan(state: MemoryState, plan: Plan, g1: float, g3: float
                ) -> MemoryState:
     """Scatter the plan's waves off the memory: apply plan_matrix(plan)
     to the state."""
-    return MemoryState.from_vec(plan_matrix(plan, g1, g3) @ state.vec)
+    return _scatter(*_pair(plan, g1, g3), state)
 
 
 def _axis_plan(rotations: list[tuple[float, str]], g1: float, g3: float,
@@ -217,22 +229,29 @@ def factorize_su2(u: np.ndarray, g1: float, g3: float,
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise NotSpecialUnitary("expected a 2x2 matrix")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+    (u00, u01), (u10, u11) = u.tolist()
+    # u^dag u - I; its (1, 0) entry is the conjugate of its (0, 1) entry
+    gram = (u00.conjugate() * u00 + u10.conjugate() * u10 - 1.0,
+            u00.conjugate() * u01 + u10.conjugate() * u11,
+            u01.conjugate() * u01 + u11.conjugate() * u11 - 1.0)
+    if max(map(abs, gram)) > 1e-10:
         raise NotSpecialUnitary("matrix is not unitary")
-    if abs(np.linalg.det(u) - 1.0) > 1e-10:
+    if abs(u00 * u11 - u01 * u10 - 1.0) > 1e-10:
         raise NotSpecialUnitary("matrix determinant is not 1")
 
     # u = [[cos b e^{-i(a+c)}, -i sin b e^{-i(a-c)}], [...]]
-    cb = abs(u[0, 0])
-    sb = abs(u[0, 1])
+    cb = abs(u00)
+    sb = abs(u01)
     b = math.atan2(sb, cb)
-    apc = -cmath.phase(u[0, 0]) if cb > 1e-12 else 0.0
-    amc = (-cmath.phase(u[0, 1]) - math.pi / 2.0) if sb > 1e-12 else 0.0
+    apc = -cmath.phase(u00) if cb > 1e-12 else 0.0
+    amc = (-cmath.phase(u01) - math.pi / 2.0) if sb > 1e-12 else 0.0
     a = 0.5 * (apc + amc)
     c = 0.5 * (apc - amc)
 
     plan = _axis_plan([(a, "odd"), (b, "even"), (c, "odd")], g1, g3)
-    err = np.max(np.abs(plan_matrix(plan, g1, g3) - u))
+    alpha, beta = _pair(plan, g1, g3)
+    err = max(abs(alpha - u00), abs(beta - u01),
+              abs(-beta.conjugate() - u10), abs(alpha.conjugate() - u11))
     if err > tol:
         raise NotSpecialUnitary(f"factorization residual {err:g} exceeds "
                                 f"{tol:g}")
@@ -250,9 +269,16 @@ def interference_pattern(state: MemoryState, wave: Plan,
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0):
         raise ValueError("sample positions must be positive")
-    (k,) = wave.k
-    amp = np.vdot(state.vec, plan_matrix(wave, g1, g3) @ state.vec)
-    return 2.0 * (1.0 + np.real(amp * np.exp(2j * k * xs)))
+    return _pattern(state, wave, g1, g3, xs)[0]
+
+
+def _pattern(state: MemoryState, wave: Plan, g1: float, g3: float, xs
+             ) -> tuple[np.ndarray, MemoryState]:
+    """interference_pattern and the scattered state, from one pair."""
+    scattered = _scatter(*_pair(wave, g1, g3), state)
+    amp = (state.a1.conjugate() * scattered.a1
+           + state.a2.conjugate() * scattered.a2)
+    return 2.0 * (1.0 + (amp * np.exp(2j * wave.k[0] * xs)).real), scattered
 
 
 def estimator_phase(wave: Plan, g1: float, g3: float) -> float:
@@ -286,14 +312,17 @@ def estimate_from_pattern(samples, k: float, phi: float) -> float:
     Fits value ~ c0 + cc cos(2kx) + cs sin(2kx) and returns
     -cs / (2 sin phi).
     """
+    samples = list(samples)
+    return _fit(np.array([x for x, _ in samples], dtype=float),
+                np.array([v for _, v in samples], dtype=float), k, phi)
+
+
+def _fit(xs: np.ndarray, ys: np.ndarray, k: float, phi: float) -> float:
     if abs(math.sin(phi)) < 1e-9:
         raise PhaseBlind("pattern carries no state information at this "
                          "phase")
-    samples = list(samples)
-    if len(samples) < 3:
+    if len(xs) < 3:
         raise DegenerateSampling("need at least three samples")
-    xs = np.array([x for x, _ in samples], dtype=float)
-    ys = np.array([v for _, v in samples], dtype=float)
     design = np.column_stack([np.ones_like(xs),
                               np.cos(2.0 * k * xs),
                               np.sin(2.0 * k * xs)])
@@ -307,14 +336,12 @@ def estimate_from_pattern(samples, k: float, phi: float) -> float:
 # Fixed pre-rotation for the fourth observable: a known quarter-turn
 # about sigma_3, realizable by odd scatterings.
 A4_PREROTATION_ANGLE = math.pi / 4.0
-_R0 = np.diag([cmath.exp(-1j * A4_PREROTATION_ANGLE),
-               cmath.exp(1j * A4_PREROTATION_ANGLE)])
+_R0 = (cmath.exp(-1j * A4_PREROTATION_ANGLE), 0j)
 
 
 def _predict(state: MemoryState, s: MemoryState) -> np.ndarray:
     a3 = observe(state, "A3", s)
-    rotated = MemoryState.from_vec(_R0 @ state.vec)
-    a4 = observe(rotated, "A3", s)
+    a4 = observe(_scatter(*_R0, state), "A3", s)
     return np.array([observe(state, "A1"), observe(state, "A2"), a3, a4])
 
 
@@ -394,15 +421,14 @@ def _su2_completion(source: MemoryState, target: MemoryState
                     ) -> np.ndarray:
     """The SU(2) element mapping source to target (up to global phase).
 
-    Completes the state-to-state map with the orthogonal complements and
-    normalizes the determinant phase.
+    Completes the state-to-state map t s^dag with the orthogonal
+    complements, t_perp s_perp^dag, and scales its determinant to 1.
     """
-    s_perp = np.array([-source.a2.conjugate(), source.a1.conjugate()])
-    t_perp = np.array([-target.a2.conjugate(), target.a1.conjugate()])
-    u = (np.outer(target.vec, source.vec.conj())
-         + np.outer(t_perp, s_perp.conj()))
-    det = np.linalg.det(u)
-    return u * cmath.exp(-0.5j * cmath.phase(det)) / math.sqrt(abs(det))
+    (s1, s2), (t1, t2) = (source.a1, source.a2), (target.a1, target.a2)
+    alpha = t1 * s1.conjugate() + t2.conjugate() * s2
+    beta = t1 * s2.conjugate() - t2.conjugate() * s1
+    norm = math.hypot(abs(alpha), abs(beta))
+    return _matrix(alpha / norm, beta / norm)
 
 
 def write(s: MemoryState, target: MemoryState,
@@ -429,14 +455,12 @@ def _interrogate(state: MemoryState, wave: Plan, g1: float, g3: float,
     period = math.pi / k
     xs = 0.1 * period + np.linspace(0.0, period, n_positions,
                                     endpoint=False)
-    values = interference_pattern(state, wave, g1, g3, xs)
+    values, scattered = _pattern(state, wave, g1, g3, xs)
     if noise_sigma > 0.0:
         values = values + rng.normal(0.0, noise_sigma, size=values.shape)
-    estimate = estimate_from_pattern(zip(xs, values), k,
-                                     estimator_phase(wave, g1, g3))
-    restore = _axis_plan([(-op_angle(wave, g1, g3), *wave.parity)], g1, g3)
-    return estimate, apply_plan(apply_plan(state, wave, g1, g3), restore,
-                                g1, g3)
+    theta = op_angle(wave, g1, g3)
+    restore = _axis_plan([(-theta, *wave.parity)], g1, g3)
+    return _fit(xs, values, k, -theta), apply_plan(scattered, restore, g1, g3)
 
 
 def _polish(initial: MemoryState, obs: Observables, s: MemoryState

@@ -310,7 +310,7 @@ def run_suite(names=None) -> list[ResidualReport]:
     suite = default_suite()
     if names is None:
         names = [n for n in suite if n != "corrupted_self_test"]
-    unknown = [n for n in names if n not in suite]
+    unknown = [n for n in names if not isinstance(n, str) or n not in suite]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     return [suite[name]() for name in names]

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermi1d
 from fermi1d import channels, cli, pointcore
 from fermi1d.cli import main
 from fermi1d.errors import PoleAtSpectralPoint
@@ -30,6 +35,30 @@ def cnum(z):
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def dynamic_openblas() -> bool:
+    """Whether numpy's OpenBLAS picks its kernel at run time on x86_64,
+    so that OPENBLAS_CORETYPE selects another one."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def run_child(argv, coretype=None):
+    """Stdout of the CLI run by a fresh interpreter from this source tree,
+    on the OpenBLAS kernel `coretype` or on the default one."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(fermi1d.__file__))}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    return subprocess.run([sys.executable, "-m", "fermi1d.cli", *argv],
+                          env=env, capture_output=True, check=True).stdout
 
 
 def _flatten(value) -> str:
@@ -462,6 +491,24 @@ class TestMemory:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / f"memory_script.{fmt}"
                                     ).read_bytes()
+
+    @pytest.mark.skipif(not dynamic_openblas(),
+                        reason="needs an x86_64 DYNAMIC_ARCH OpenBLAS")
+    def test_script_bytes_do_not_depend_on_blas_kernel(self, tmp_path):
+        # Writes, resets and scatterings are computed on Python complex
+        # numbers, so a kernel without FMA (Prescott) gives the bytes of
+        # the default one.  A read's fit still goes through lstsq.
+        cfg = write_config(tmp_path, {
+            "schema": 1, "g1": 1.7, "g3": -2.3,
+            "script": [
+                {"op": "write", "target": [[0.6, 0.0], [0.0, -0.8]]},
+                {"op": "scatter", "parity": "even", "k": 0.9},
+                {"op": "scatter", "parity": "odd", "k": 1.6},
+                {"op": "write", "target": [[0.48, -0.36], [0.64, 0.48]]},
+                {"op": "reset"},
+            ]})
+        argv = ["memory", "--config", cfg]
+        assert run_child(argv, "Prescott") == run_child(argv)
 
     def test_seed_belongs_to_memory_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
@@ -33,20 +34,48 @@ _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def reference_wave(parity, k, g1, g3):
-    """Re(e) I + i Im(e) sigma of one wave, e written out per parity."""
+def reference_factor(parity, k, g1, g3):
+    """The parity factor e of one wave, written out per parity."""
     if parity == "even":
-        e = (2.0 * k - 1j * g1) / (2.0 * k + 1j * g1)
-        return e.real * np.eye(2) + 1j * e.imag * _SIGMA1
-    e = (2.0 - 1j * g3 * k) / (2.0 + 1j * g3 * k)
-    return e.real * np.eye(2) + 1j * e.imag * _SIGMA3
+        return (2.0 * k - 1j * g1) / (2.0 * k + 1j * g1)
+    return (2.0 - 1j * g3 * k) / (2.0 + 1j * g3 * k)
+
+
+def numpy_wave(parity, k, g1, g3):
+    """Re(e) I + i Im(e) sigma of one wave as a numpy matrix."""
+    e = reference_factor(parity, k, g1, g3)
+    return e.real * np.eye(2) + 1j * e.imag * (
+        _SIGMA1 if parity == "even" else _SIGMA3)
+
+
+def numpy_plan_matrix(plan, g1, g3):
+    u = np.eye(2, dtype=complex)
+    for parity, k in zip(plan.parity, plan.k):
+        u = u @ numpy_wave(parity, k, g1, g3)
+    return u
+
+
+def reference_wave(parity, k, g1, g3):
+    """Re(e) I + i Im(e) sigma of one wave on Python complex numbers, as
+    the first row (a, b) of [[a, b], [-b*, a*]]."""
+    e = reference_factor(parity, k, g1, g3)
+    if parity == "even":
+        return complex(e.real, 0.0), complex(0.0, e.imag)
+    return e, 0j
+
+
+def reference_matrix(a, b):
+    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
 
 
 def reference_plan_matrix(plan, g1, g3):
-    u = np.eye(2, dtype=complex)
+    """The ordered product of the waves on Python complex numbers:
+    (a1, b1)(a2, b2) = (a1 a2 - b1 b2*, a1 b2 + b1 a2*)."""
+    a, b = 1 + 0j, 0j
     for parity, k in zip(plan.parity, plan.k):
-        u = u @ reference_wave(parity, k, g1, g3)
-    return u
+        c, d = reference_wave(parity, k, g1, g3)
+        a, b = a * c - b * d.conjugate(), a * d + b * c.conjugate()
+    return reference_matrix(a, b)
 
 
 def assert_same_bits(a, b):
@@ -145,10 +174,20 @@ class TestPlan:
         for parity, k in waves:
             matrix = (qm.s_plus(g1, k) if parity == "even"
                       else qm.s_minus(g3, k))
-            assert_same_bits(matrix, reference_wave(parity, k, g1, g3))
+            assert_same_bits(matrix, reference_matrix(
+                *reference_wave(parity, k, g1, g3)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_plans, _coupling, _coupling)
+    def test_matrices_match_numpy_product(self, waves, g1, g3):
+        plan = qm.Plan(tuple(p for p, _ in waves),
+                       tuple(k for _, k in waves))
+        np.testing.assert_allclose(qm.plan_matrix(plan, g1, g3),
+                                   numpy_plan_matrix(plan, g1, g3),
+                                   rtol=0, atol=1e-15)
 
     def test_wavenumbers_checked_once_per_plan(self, monkeypatch):
-        calls = {"spectral_points": 0, "eye": 0}
+        calls = {"spectral_points": 0, "numpy": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -156,10 +195,23 @@ class TestPlan:
                 return fn(*args, **kwargs)
             return wrapper
 
+        class CountedModule:
+            """The module, each of its functions counted as numpy."""
+
+            def __init__(self, module):
+                self.module = module
+
+            def __getattr__(self, name):
+                value = getattr(self.module, name)
+                if isinstance(value, types.ModuleType):
+                    return CountedModule(value)
+                return counted("numpy", value) if callable(value) else value
+
         check = counted("spectral_points", pointcore.spectral_points)
         monkeypatch.setattr(qm, "spectral_points", check)
         monkeypatch.setattr(pointcore, "spectral_points", check)
-        monkeypatch.setattr(np, "eye", counted("eye", np.eye))
+        monkeypatch.setattr(qm, "np", CountedModule(np))
+        monkeypatch.setattr(pointcore, "np", CountedModule(np))
         u = haar_su2(np.random.default_rng(17))
         state = qm.MemoryState.from_vec(u[:, 0])
         g1, g3 = 1.3, -0.9
@@ -170,10 +222,11 @@ class TestPlan:
             plan = build()
             assert len(plan) > 1
             assert calls["spectral_points"] == 1
-        calls.update(spectral_points=0, eye=0)
+        calls.update(spectral_points=0, numpy=0)
+        qm.apply_plan(state, plan, g1, g3)
+        assert calls == {"spectral_points": 0, "numpy": 0}
         qm.plan_matrix(plan, g1, g3)
-        assert calls["spectral_points"] == 0
-        assert calls["eye"] <= 1    # none per wave
+        assert calls == {"spectral_points": 0, "numpy": 1}
 
     def test_rejects_bad_waves(self):
         for parity, k in ((("even", "sideways"), (1.0, 1.0)),

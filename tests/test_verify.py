@@ -230,5 +230,7 @@ class TestSuite:
         assert not report.passed
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            verify.run_suite(["no_such_check"])
+        # names that are not strings are unknown too, not unhashable
+        for names in (["no_such_check"], [{}], [["a"]]):
+            with pytest.raises(ValueError, match="unknown checks"):
+                verify.run_suite(names)
