@@ -21,6 +21,7 @@ import numpy as np
 
 from . import channels, pointcore, qmemory, verify
 from .errors import ConfigError, Fermi1dError
+from .pointcore import _cadd, _cmul, _csub
 
 _SCHEMA = 1
 
@@ -103,14 +104,19 @@ def cmd_smatrix(config: dict) -> dict:
     g = _couplings(config)
     k = _grid(config, "k_grid")
     s = pointcore.s_matrix_grid(g, k)
-    unit = np.max(np.abs(s @ s.conj().transpose(0, 2, 1) - np.eye(2)),
-                  axis=(1, 2))
-    det = np.linalg.det(s)
-    # hypot, as abs() of one complex scalar; np.abs of a complex array
-    # may round differently
+    # With S++ = S-- = d, S+- = p and S-+ = m, S S^dagger - I holds
+    # |d|^2 + |p|^2 - 1, |d|^2 + |m|^2 - 1 and the conjugate pair
+    # d m* + p d*, and det S = d^2 - p m: pointcore's (re, im) arithmetic
+    # with no BLAS call, and |z| by hypot, as abs() of a complex scalar.
+    d, p, m = ((s.real[:, i, j], s.imag[:, i, j])
+               for i, j in ((0, 0), (0, 1), (1, 0)))
+    dd = d[0] * d[0] + d[1] * d[1]
+    off = _cadd(_cmul(d, (m[0], -m[1])), _cmul(p, (d[0], -d[1])))
+    unit = np.maximum.reduce([np.abs(dd + (q[0] * q[0] + q[1] * q[1]) - 1.0)
+                              for q in (p, m)] + [np.hypot(*off)])
     return {"k": k, "s_pp": s[:, 0, 0], "s_pm": s[:, 0, 1],
             "s_mp": s[:, 1, 0], "s_mm": s[:, 1, 1],
-            "abs_det": np.hypot(det.real, det.imag),
+            "abs_det": np.hypot(*_csub(_cmul(d, d), _cmul(p, m))),
             "unitarity_residual": unit}
 
 
@@ -277,6 +283,7 @@ def cmd_verify(config: dict) -> tuple[list[dict], bool]:
 
 
 _ABSENT = object()      # the cell of a row that lacks its column's key
+_BULK_ROWS = 150    # smaller tables keep repr and the % fill (measured)
 _NEEDS_QUOTES = re.compile(r'[,"\n]').search     # as csv's QUOTE_MINIMAL
 
 
@@ -323,7 +330,8 @@ def _table_text(columns: dict | list, fmt: str) -> str:
     [re, im] pairs, trailing axes nested; or a list of JSON values,
     _ABSENT where a row lacks the key.  Every row holds a key.  Each
     column is formatted once, and each run of rows with the same keys is
-    filled from one % template."""
+    filled from one % template; a large table of arrays is written in
+    byte blocks, to the same bytes."""
     if isinstance(columns, list):       # rows
         keys = dict.fromkeys(key for row in columns for key in row)
         columns = {key: [row.get(key, _ABSENT) for row in columns]
@@ -333,6 +341,9 @@ def _table_text(columns: dict | list, fmt: str) -> str:
     # csv writes null, floats and strings as they are, and json the rest
     own = (float, str, type(None)) if fmt == "csv" else ()
     formatted = {}   # equal columns (S++ and S--, f2 and f4) share cells
+    # NUL pads a bulk cell, so no key may hold one
+    bulk = n >= _BULK_ROWS and "\0" not in "".join(map(str, keys)) and all(
+        isinstance(col, np.ndarray) for col in columns.values())
     fields, cells, present = [], [], []
     for key in keys:
         col, template, have = columns[key], "%s", None
@@ -344,7 +355,8 @@ def _table_text(columns: dict | list, fmt: str) -> str:
             for leaf in (col.reshape(n, -1).T if col.ndim > 1 else [col]):
                 memo = (leaf.dtype.str, leaf.tobytes(), leaf_fmt)
                 if memo not in formatted:
-                    formatted[memo] = _float_cells(leaf, leaf_fmt)
+                    formatted[memo] = ((leaf, leaf_fmt) if bulk else
+                                       _float_cells(leaf, leaf_fmt))
                 leaves.append(formatted[memo])
             template = _template(col.shape[1:], fmt)
         else:
@@ -372,16 +384,19 @@ def _table_text(columns: dict | list, fmt: str) -> str:
                "  {\n    " + ",\n    ".join(fields[i] for i in keep) + "\n  }")
         slots = [c if size == n else c[start:start + size]
                  for i in keep for c in cells[i]]
-        # a row of only empty arrays has no slot
-        rows += ([row % values for values in zip(*slots)] if slots
-                 else [row % ()] * size)
+        if bulk:    # one run, every key; the kernel loads on first use
+            from . import bulktext
+            rows += bulktext.bulk_rows(row, slots, fmt, n, _float_cells)
+        else:       # a row of only empty arrays has no slot
+            rows += ([row % values for values in zip(*slots)] if slots
+                     else [row % ()] * size)
         start += size
     if fmt == "json":
         return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
-    lines = [",".join(map(_csv_field, keys))] + rows
+    text = "\n".join([",".join(map(_csv_field, keys))] + rows)
     if len(keys) == 1:      # csv quotes a row's one empty field
-        lines = [line or '""' for line in lines]
-    return "\n".join(lines) + "\n"
+        text = re.sub("^$", '""', text, flags=re.M)
+    return text + "\n"
 
 
 @functools.cache

@@ -377,7 +377,8 @@ def _candidate_states(obs: Observables, s: MemoryState,
             a2 = q * cmath.exp(1j * (theta1 - delta))
             norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
             cand = MemoryState(a1 / norm, a2 / norm)
-            if all(np.linalg.norm(cand.vec - other.vec) > 1e-7
+            if all(math.hypot(abs(cand.a1 - other.a1),
+                              abs(cand.a2 - other.a2)) > 1e-7
                    for other in candidates):
                 candidates.append(cand)
     return candidates

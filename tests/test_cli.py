@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermi1d
-from fermi1d import channels, cli, pointcore
+from fermi1d import bulktext, channels, cli, pointcore
 from fermi1d.cli import main
 from fermi1d.errors import PoleAtSpectralPoint
 
@@ -96,7 +98,7 @@ def reference_text(rows, fmt):
 # json escapes or nests by
 TEXT = st.text(st.sampled_from('ab ,"[]{}:%\\\n\ré'), max_size=6)
 KEYS = st.sampled_from(["k", "mode", "plan", "a,b", 'say "x"', "x:y",
-                        "[z", "{w", "100%", ""])
+                        "[z", "{w", "100%", "", "%s", "a%%b"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
     | st.floats(allow_nan=False, allow_infinity=False) | TEXT,
@@ -562,10 +564,11 @@ class TestOutput:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5),
-           fmt=st.sampled_from(["json", "csv"]))
-    def test_array_tables_match_reference(self, data, n, fmt):
+           fmt=st.sampled_from(["json", "csv"]), bulk=st.booleans())
+    def test_array_tables_match_reference(self, data, n, fmt, bulk):
         # numpy columns: NaN is null at the top level and inside nested
-        # values, and a complex number is an [re, im] pair
+        # values, and a complex number is an [re, im] pair; written by
+        # the % fill or, as large tables are, in byte blocks
         columns = {}
         for key in data.draw(st.lists(KEYS, min_size=1, max_size=4,
                                       unique=True)):
@@ -592,7 +595,8 @@ class TestOutput:
 
         rows = [dict(zip(columns, values))
                 for values in zip(*map(plain, columns.values()))]
-        assert cli._table_text(columns, fmt) == reference_text(rows, fmt)
+        with mock.patch.object(cli, "_BULK_ROWS", 1 if bulk else 10 ** 9):
+            assert cli._table_text(columns, fmt) == reference_text(rows, fmt)
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,
@@ -640,27 +644,112 @@ class TestOutput:
         smatrix_rows = []
         for k in grid:
             sm = pointcore.s_matrix(g, k)
+            # the diagnostics from the entries on Python complex numbers:
+            # S++ = S-- = d, S+- = p, S-+ = m
+            d, p, m = (complex(sm[i, j]) for i, j in ((0, 0), (0, 1), (1, 0)))
+            dd = d.real * d.real + d.imag * d.imag
+            abs_det = abs(d * d - p * m)
+            residual = max(
+                abs(dd + (p.real * p.real + p.imag * p.imag) - 1.0),
+                abs(dd + (m.real * m.real + m.imag * m.imag) - 1.0),
+                abs(d * m.conjugate() + p * d.conjugate()))
+            # the determinant and product they replaced agree
+            assert abs(abs_det - abs(np.linalg.det(sm))) <= 1e-15
+            assert abs(residual - np.max(np.abs(
+                sm @ sm.conj().T - np.eye(2)))) <= 1e-15
             smatrix_rows.append({
                 "k": k,
                 "s_pp": cnum(sm[0, 0]), "s_pm": cnum(sm[0, 1]),
                 "s_mp": cnum(sm[1, 0]), "s_mm": cnum(sm[1, 1]),
-                "abs_det": float(abs(np.linalg.det(sm))),
-                "unitarity_residual": float(np.max(np.abs(
-                    sm @ sm.conj().T - np.eye(2))))})
+                "abs_det": abs_det, "unitarity_residual": residual})
         for command, key, rows in (("resolvent", "kappa_grid",
                                     resolvent_rows),
                                    ("smatrix", "k_grid", smatrix_rows)):
             cfg = write_config(tmp_path, {"schema": 1, "couplings": list(g),
                                           key: grid})
-            for fmt in ("json", "csv"):
+            for fmt, bulk in itertools.product(("json", "csv"), (1, 10 ** 9)):
                 out = tmp_path / f"out.{fmt}"
-                assert main([command, "--config", cfg, "--format", fmt,
-                             "--out", str(out)]) == 0
+                with mock.patch.object(cli, "_BULK_ROWS", bulk):
+                    assert main([command, "--config", cfg, "--format", fmt,
+                                 "--out", str(out)]) == 0
                 assert out.read_bytes() == reference_text(
-                    rows, fmt).encode(), (command, fmt)
+                    rows, fmt).encode(), (command, fmt, bulk)
         assert any(row["pole"] for row in resolvent_rows) == (g[0] == 2.0)
+
+    @pytest.mark.skipif(not dynamic_openblas(),
+                        reason="needs an x86_64 DYNAMIC_ARCH OpenBLAS")
+    @pytest.mark.parametrize("name", ["smatrix_signed_zero",
+                                      "resolvent_pole"])
+    def test_grid_bytes_do_not_depend_on_blas_kernel(self, tmp_path, name):
+        # The S-matrix and its diagnostics are real (re, im) arithmetic,
+        # so a kernel without FMA (Prescott) gives the default bytes.
+        command, config = GOLDEN[name]
+        argv = [command, "--config", write_config(tmp_path, config)]
+        assert run_child(argv, "Prescott") == run_child(argv)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _ = run(capsys, ["resolvent", "--config",
                                str(tmp_path / "nope.json")])
         assert code == 2
+
+
+def kernel_text(values, fmt, scalar=cli._float_cells) -> list[str]:
+    """The bulk kernel's cell of each value."""
+    cells = bulktext.cell_bytes(np.asarray(values, dtype=float), fmt, scalar)
+    return cells.view(f"S{bulktext._CELL}").ravel().astype(str).tolist()
+
+
+def scalar_text(values, fmt) -> list[str]:
+    return [("null" if fmt == "json" else "") if math.isnan(v)
+            else repr(v) if fmt == "json" else "%.17g" % v for v in values]
+
+
+class TestBulkFloatText:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(width=64), min_size=1, max_size=40),
+           fmt=st.sampled_from(["json", "csv"]))
+    def test_matches_repr_and_17g(self, values, fmt):
+        assert kernel_text(values, fmt) == scalar_text(values, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_hard_cases(self, fmt):
+        # decade boundaries +-50 ulp, 16- and 17-digit decimals ending in
+        # 5, every power of two, signed zeros and the extremes
+        rng = np.random.default_rng(17)
+        decades = (10.0 ** np.arange(-307, 308, 2)).view(np.int64)
+        near = (decades[:, None] + np.arange(-50, 51)).view(float).ravel()
+        fives = [float(f"{d}5e{x}") for size in (15, 16) for d, x in zip(
+            rng.integers(10 ** (size - 1), 10 ** size, 2000),
+            rng.integers(-300, 300, 2000))]
+        values = np.concatenate([near, fives, 2.0 ** np.arange(-1074, 1024),
+                                 [0.0, 5e-324, 1.7976931348623157e308]])
+        values = np.concatenate([values, -values])
+        assert kernel_text(values, fmt) == scalar_text(values.tolist(), fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fast_path_formats_most_values(self, fmt):
+        # a kernel that sends every value to the scalar formatter fails
+        values = np.random.default_rng(3).uniform(1e-3, 1e3, 10000)
+        scalar = mock.Mock(wraps=cli._float_cells)
+        assert kernel_text(values, fmt, scalar) == scalar_text(
+            values.tolist(), fmt)
+        sent = sum(call.args[0].size for call in scalar.call_args_list)
+        assert sent <= 0.1 * values.size
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blocks_match_reference(self, fmt):
+        # a table of many blocks of rows, with null, bool and pair cells
+        rng = np.random.default_rng(5)
+        n = 4000
+        f = rng.uniform(-2.0, 2.0, n)
+        f[::7], f[::11] = np.nan, 0.0
+        z = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n) + 1j
+        columns = {"k": np.linspace(0.05, 12.0, n), "pole": f > 1.0,
+                   "f1": f, "s_pp": z}
+        rows = [{"k": k, "pole": pole, "f1": None if math.isnan(v) else v,
+                 "s_pp": [w.real, w.imag]}
+                for k, pole, v, w in zip(columns["k"].tolist(),
+                                         columns["pole"].tolist(),
+                                         f.tolist(), z.tolist())]
+        assert n >= cli._BULK_ROWS
+        assert cli._table_text(columns, fmt) == reference_text(rows, fmt)
