@@ -245,8 +245,8 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
             obs, recovered, state = qmemory.read_protocol(
                 state, standard, g1, g3, noise_sigma=sigma, rng=rng)
             event.update(
-                observables={"A1": obs.A1, "A2": obs.A2, "A3": obs.A3,
-                             "A4": obs.A4},
+                observables={"A1": obs.A1, "A2": obs.A2, "Ay": obs.Ay,
+                             "A3": obs.A3},
                 recovered_state=[_cnum(recovered.a1), _cnum(recovered.a2)],
                 recovery_error=recovered.distance_up_to_phase(before),
                 restoration_error=state.distance_up_to_phase(before))

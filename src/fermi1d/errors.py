@@ -57,19 +57,8 @@ class PhaseBlind(Fermi1dError):
 
 
 class Inconsistent(Fermi1dError):
-    """No unit state reproduces the supplied observables within
-    tolerance."""
-
-
-class Ambiguous(Fermi1dError):
-    """More than one state matches the observables; candidates attached."""
-
-    def __init__(self, candidates, message=None):
-        self.candidates = list(candidates)
-        super().__init__(
-            message
-            or f"{len(self.candidates)} states match the observables"
-        )
+    """The observables are not those of a pure state within tolerance:
+    the fitted Bloch vector is not of unit length."""
 
 
 class QuadratureFailure(Fermi1dError):

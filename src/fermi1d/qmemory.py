@@ -6,7 +6,9 @@ scatter the state by S_plus(k) = exp(-i sigma_1 2 arctan(g1/(2k))) and
 odd waves by S_minus(k) = exp(-i sigma_3 2 arctan(g3 k / 2)); when both
 couplings are nonzero, finite products of these reach all of SU(2), so
 write/read/reset reduce to synthesizing scattering sequences.  Reading
-extracts the state from interference patterns of the scattered waves.
+fits the three Pauli expectation values, the Bloch vector, from the
+interference patterns of the scattered waves; they fix the state up to a
+global phase.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    Ambiguous,
     DegenerateSampling,
     Inconsistent,
     NotSpecialUnitary,
@@ -114,19 +115,20 @@ class Plan:
 class Observables:
     """Interference readout results.
 
-    A1 = |a1|^2 - |a2|^2, A2 = 2 Re(a1* a2), A3 the interference with
-    the standard state, and optionally A4, the same interference after a
-    fixed known pre-rotation.
+    The Bloch vector (A2, Ay, A1) of the state: A1 = <sigma_3> =
+    |a1|^2 - |a2|^2, A2 = <sigma_1> = 2 Re(a1* a2) and Ay = <sigma_2> =
+    2 Im(a1* a2).  A3 is the interference with the standard state, which
+    the read reports but does not use.
     """
 
     A1: float
     A2: float
+    Ay: float
     A3: float
-    A4: float | None = None
 
     def __post_init__(self):
-        if self.A1 ** 2 + self.A2 ** 2 > 1.0 + 1e-9:
-            raise ValueError("A1^2 + A2^2 exceeds 1 for a unit state")
+        if self.A1 ** 2 + self.A2 ** 2 + self.Ay ** 2 > 1.0 + 1e-9:
+            raise ValueError("A1^2 + A2^2 + Ay^2 exceeds 1 for a unit state")
 
 
 @dataclass(frozen=True)
@@ -298,6 +300,8 @@ def observe(state: MemoryState, which: str,
         return abs(a1) ** 2 - abs(a2) ** 2
     if which == "A2":
         return 2.0 * (a1.conjugate() * a2).real
+    if which == "Ay":
+        return 2.0 * (a1.conjugate() * a2).imag
     if which == "A3":
         if s is None:
             raise ValueError("A3 needs the standard state")
@@ -333,89 +337,24 @@ def _fit(xs: np.ndarray, ys: np.ndarray, k: float, phi: float) -> float:
     return float(-coeffs[2] / (2.0 * math.sin(phi)))
 
 
-# Fixed pre-rotation for the fourth observable: a known quarter-turn
-# about sigma_3, realizable by odd scatterings.
-A4_PREROTATION_ANGLE = math.pi / 4.0
-_R0 = (cmath.exp(-1j * A4_PREROTATION_ANGLE), 0j)
+def reconstruct_state(obs: Observables) -> MemoryState:
+    """The pure state along the Bloch vector (A2, Ay, A1).
 
-
-def _predict(state: MemoryState, s: MemoryState) -> np.ndarray:
-    a3 = observe(state, "A3", s)
-    a4 = observe(_scatter(*_R0, state), "A3", s)
-    return np.array([observe(state, "A1"), observe(state, "A2"), a3, a4])
-
-
-def _candidate_states(obs: Observables, s: MemoryState,
-                      tol: float) -> list[MemoryState]:
-    p = math.sqrt(min(max((1.0 + obs.A1) / 2.0, 0.0), 1.0))
-    q = math.sqrt(min(max((1.0 - obs.A1) / 2.0, 0.0), 1.0))
-    s1c = complex(s.a1).conjugate()
-    s2c = complex(s.a2).conjugate()
-    # A3 = A1 + (|s1|^2 - |s2|^2) + 2 Re(a1 s1* - a2 s2*)
-    r3 = 0.5 * (obs.A3 - obs.A1 - (abs(s.a1) ** 2 - abs(s.a2) ** 2))
-
-    if p * q < 1e-8:
-        deltas = [0.0]
-    else:
-        x = obs.A2 / (2.0 * p * q)
-        if abs(x) > 1.0 + tol:
-            raise Inconsistent("A2 incompatible with A1")
-        delta0 = math.acos(min(max(x, -1.0), 1.0))
-        deltas = [delta0, -delta0] if delta0 > 1e-12 else [0.0]
-
-    candidates = []
-    for delta in deltas:
-        z = p * s1c - q * cmath.exp(-1j * delta) * s2c
-        if abs(z) < 1e-12:
-            continue  # the standard state is parallel to this branch
-        x = r3 / abs(z)
-        if abs(x) > 1.0 + max(tol, 1e-9):
-            continue
-        phi = math.acos(min(max(x, -1.0), 1.0))
-        for theta1 in (phi - cmath.phase(z), -phi - cmath.phase(z)):
-            a1 = p * cmath.exp(1j * theta1)
-            a2 = q * cmath.exp(1j * (theta1 - delta))
-            norm = math.sqrt(abs(a1) ** 2 + abs(a2) ** 2)
-            cand = MemoryState(a1 / norm, a2 / norm)
-            if all(math.hypot(abs(cand.a1 - other.a1),
-                              abs(cand.a2 - other.a2)) > 1e-7
-                   for other in candidates):
-                candidates.append(cand)
-    return candidates
-
-
-def _closest_candidate(obs: Observables, s: MemoryState, tol: float
-                       ) -> tuple[MemoryState, float]:
-    """reconstruct_state's choice and its A4 mismatch, unchecked."""
-    if abs(s.a1) < 1e-12 or abs(s.a2) < 1e-12:
-        raise ValueError("the standard state needs both components "
-                         "nonzero")
-    candidates = _candidate_states(obs, s, tol)
-    if not candidates:
-        raise Inconsistent("no unit state matches the observables")
-    if obs.A4 is None:
-        if len(candidates) == 1:
-            return candidates[0], 0.0
-        raise Ambiguous(candidates)
-    mismatches = [abs(_predict(c, s)[3] - obs.A4) for c in candidates]
-    best = int(np.argmin(mismatches))
-    return candidates[best], mismatches[best]
-
-
-def reconstruct_state(obs: Observables, s: MemoryState,
-                      tol: float = 1e-6) -> MemoryState:
-    """Invert the observables into a memory state.
-
-    A1 and A2 fix the moduli and the relative-phase cosine; A3 pins the
-    overall phase against the standard state up to discrete branches.
-    When A4 is supplied the branch is resolved by picking the candidate
-    matching it best (unique for exact data); otherwise all matching
-    candidates are reported through the Ambiguous error.
+    With t and phi the polar angles of the vector, the state is
+    (cos(t/2), e^{i phi} sin(t/2)) up to a global phase.  It is built
+    from the half-angle form (r + z, x + iy) when z >= 0 and
+    (x - iy, r - z) when z < 0, neither of which cancels, then
+    normalized; so a1 is real and positive on the upper hemisphere and
+    a2 on the lower one.  acos(z) would lose half the digits of t near
+    the poles.
     """
-    state, mismatch = _closest_candidate(obs, s, tol)
-    if mismatch > tol:
-        raise Inconsistent("no candidate reproduces A4 within tolerance")
-    return state
+    x, y, z = obs.A2, obs.Ay, obs.A1
+    r = math.sqrt(x * x + y * y + z * z)
+    if r == 0.0:
+        raise Inconsistent("a zero Bloch vector fixes no state")
+    u, v = (r + z, complex(x, y)) if z >= 0.0 else (complex(x, -y), r - z)
+    norm = math.sqrt(abs(u) ** 2 + abs(v) ** 2)
+    return MemoryState(u / norm, v / norm)
 
 
 def _su2_completion(source: MemoryState, target: MemoryState
@@ -464,43 +403,9 @@ def _interrogate(state: MemoryState, wave: Plan, g1: float, g3: float,
     return _fit(xs, values, k, -theta), apply_plan(scattered, restore, g1, g3)
 
 
-def _polish(initial: MemoryState, obs: Observables, s: MemoryState
-            ) -> MemoryState:
-    """Weighted least-squares refinement of a reconstruction.
-
-    A3/A4 come from direct interference and carry no sampling noise, so
-    they are weighted far above the pattern-fitted A1/A2.
-    """
-    weights = np.array([1.0, 1.0, 100.0, 100.0])
-    targets = np.array([obs.A1, obs.A2, obs.A3, obs.A4])
-
-    def unpack(params):
-        u, theta1, delta = params
-        a1 = math.cos(u) * cmath.exp(1j * theta1)
-        a2 = math.sin(u) * cmath.exp(1j * (theta1 - delta))
-        return MemoryState(a1, a2)
-
-    def residuals(params):
-        return weights * (_predict(unpack(params), s) - targets)
-
-    p = abs(initial.a1)
-    u0 = math.acos(min(max(p, 0.0), 1.0))
-    theta1 = cmath.phase(initial.a1) if p > 1e-12 else 0.0
-    delta = theta1 - cmath.phase(initial.a2) if abs(initial.a2) > 1e-12 \
-        else 0.0
-    x = np.array([u0, theta1, delta])
-    r = residuals(x)
-    for _ in range(10):  # Gauss-Newton, MINPACK's forward differences
-        h = math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-        jac = np.transpose([residuals(x + dx) - r for dx in np.diag(h)]) / h
-        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        r_step = residuals(x + step)
-        if np.linalg.norm(r_step) >= np.linalg.norm(r):
-            break  # at the rounding floor: keep x
-        x, r = x + step, r_step
-        if np.max(np.abs(step)) < 1e-12:
-            break
-    return unpack(x)
+# A quarter turn exp(-i sigma_3 pi/4), made of odd waves: after it,
+# <sigma_1>, which an even wave measures, is the state's -<sigma_2>.
+_PREROTATION_ANGLE = math.pi / 4.0
 
 
 def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,
@@ -510,46 +415,42 @@ def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,
     """Full read sequence: interrogate, restore, reconstruct.
 
     An odd wave at k = 2/|g3| and an even wave at k = |g1|/2 (both at a
-    quarter-turn phase, the best-conditioned choice) yield A1 and A2
-    from their interference patterns; each interrogation scatters the
-    memory and is undone before the next step.  A3 and A4 come from
-    interference with the standard state, A4 after a known quarter-turn
-    pre-rotation.  Returns (observables, reconstructed state, final
-    memory state); the final state equals the input up to global phase.
+    quarter-turn phase, the best-conditioned choice) yield A1 = <sigma_3>
+    and A2 = <sigma_1> from their interference patterns; each
+    interrogation scatters the memory and is undone before the next
+    step.  A3 is the interference with the standard state s.  A quarter
+    turn about sigma_3, then a third (even) interrogation, yields
+    Ay = <sigma_2>; the turn is undone last.  The fitted Bloch vector
+    must have unit length within max(1e-6, 50 noise_sigma), or the read
+    raises Inconsistent; it is scaled to unit length and mapped to a
+    state by reconstruct_state.  Returns (observables, reconstructed
+    state, final memory state); the final state equals the input up to
+    global phase.
     """
     if g1 == 0.0 or g3 == 0.0:
         raise ZeroCoupling("the protocol needs both couplings nonzero")
     if noise_sigma > 0.0 and rng is None:
         rng = np.random.default_rng()
+    odd = Plan(("odd",), (2.0 / abs(g3),))
+    even = Plan(("even",), (abs(g1) / 2.0,))
 
-    a1_est, cur = _interrogate(state, Plan(("odd",), (2.0 / abs(g3),)),
-                               g1, g3, n_positions, noise_sigma, rng)
-    a2_est, cur = _interrogate(cur, Plan(("even",), (abs(g1) / 2.0,)),
-                               g1, g3, n_positions, noise_sigma, rng)
-
+    a1, cur = _interrogate(state, odd, g1, g3, n_positions, noise_sigma, rng)
+    a2, cur = _interrogate(cur, even, g1, g3, n_positions, noise_sigma, rng)
     a3 = observe(cur, "A3", s)
-    pre = _axis_plan([(A4_PREROTATION_ANGLE, "odd")], g1, g3)
-    rotated = apply_plan(cur, pre, g1, g3)
-    a4 = observe(rotated, "A3", s)
-    cur = apply_plan(rotated,
-                     _axis_plan([(-A4_PREROTATION_ANGLE, "odd")], g1, g3),
+    cur = apply_plan(cur, _axis_plan([(_PREROTATION_ANGLE, "odd")], g1, g3),
+                     g1, g3)
+    minus_ay, cur = _interrogate(cur, even, g1, g3, n_positions,
+                                 noise_sigma, rng)
+    cur = apply_plan(cur, _axis_plan([(-_PREROTATION_ANGLE, "odd")], g1, g3),
                      g1, g3)
 
-    # clip the noisy estimates into the physical range
-    a1_est = min(max(a1_est, -1.0), 1.0)
-    cap = math.sqrt(max(1.0 - a1_est ** 2, 0.0))
-    a2_est = min(max(a2_est, -cap), cap)
-    obs = Observables(a1_est, a2_est, a3, a4)
-    recon_tol = max(1e-6, 50.0 * noise_sigma)
-    if noise_sigma > 0.0:
-        # Noise in A1/A2 moves the candidates off A4; the tolerance
-        # applies once the polish has fitted the noiseless A3/A4.
-        recovered = _polish(_closest_candidate(obs, s, recon_tol)[0], obs, s)
-        miss = np.max(np.abs(_predict(recovered, s)[2:] - [obs.A3, obs.A4]))
-        if miss > recon_tol:
-            raise Inconsistent(f"polished state misses A3/A4 by {miss:g}")
-        return obs, recovered, cur
-    return obs, reconstruct_state(obs, s, tol=recon_tol), cur
+    r = math.sqrt(a1 * a1 + a2 * a2 + minus_ay * minus_ay)
+    tol = max(1e-6, 50.0 * noise_sigma)
+    if not abs(r - 1.0) <= tol:
+        raise Inconsistent(f"fitted Bloch vector has length {r:.9g}, "
+                           f"not 1 within {tol:g}")
+    obs = Observables(a1 / r, a2 / r, -minus_ay / r, a3)
+    return obs, reconstruct_state(obs), cur
 
 
 def admissibility_check(alpha: complex, beta: complex, k: float,

@@ -86,12 +86,12 @@ def _overlap_integral(g, kappa1: float, kappa2: float, x: float, xp: float,
     """Integral of R_{k1}(x, t) R_{k2}(t, x') over the least interval
     holding +-truncation, x and x'.  Between the kinks 0, x, x' the
     integrand is a sum of exponentials; a 20-point Gauss-Legendre rule sums
-    it on panels at most w/2 = 1/(k1+k2) wide.  Raises QuadratureFailure if
+    it on panels at most w/2 = 10/(k1+k2) wide.  Raises QuadratureFailure if
     the error estimate |I(w) - I(w/2)| exceeds the tolerance."""
     nodes, weights = _gauss_legendre()
     kinks = np.unique([-truncation, 0.0, x, xp, truncation])
     sums = []
-    for width in (1.0 / (kappa1 + kappa2), 2.0 / (kappa1 + kappa2)):
+    for width in (10.0 / (kappa1 + kappa2), 20.0 / (kappa1 + kappa2)):
         edges = np.unique(np.concatenate([
             np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
             for lo, hi in zip(kinks, kinks[1:])]))

@@ -433,6 +433,13 @@ class TestMemory:
         assert log[1]["recovery_error"] < 1e-3
         assert log[1]["restoration_error"] < 1e-9
 
+    def test_read_of_standard_state(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1, "g1": 2, "g3": 2,
+                                      "script": [{"op": "read"}]})
+        code, out = run(capsys, ["memory", "--config", cfg])
+        assert code == 0
+        assert json.loads(out)[0]["recovery_error"] < 1e-9
+
     def test_empty_script_is_noop(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "g1": 2.0, "g3": 2.0,
                                       "script": []})

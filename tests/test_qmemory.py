@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fermi1d import pointcore
 from fermi1d import qmemory as qm
 from fermi1d.errors import (
-    Ambiguous,
     DegenerateSampling,
+    Inconsistent,
     NotSpecialUnitary,
     PhaseBlind,
     ZeroCoupling,
@@ -99,31 +99,6 @@ def states(draw):
         v = np.array([1.0, 0.0, 0.0, 0.0])
     z = v[:2] + 1j * v[2:]
     return qm.MemoryState.from_vec(z / np.linalg.norm(z))
-
-
-def lm_polish(initial, obs, s):
-    """Reference polish: qmemory._polish solved by MINPACK's LM."""
-    from scipy.optimize import least_squares
-
-    weights = np.array([1.0, 1.0, 100.0, 100.0])
-    targets = np.array([obs.A1, obs.A2, obs.A3, obs.A4])
-
-    def unpack(params):
-        u, theta1, delta = params
-        return qm.MemoryState(math.cos(u) * cmath.exp(1j * theta1),
-                              math.sin(u) * cmath.exp(1j * (theta1 - delta)))
-
-    def residuals(params):
-        return weights * (qm._predict(unpack(params), s) - targets)
-
-    p = abs(initial.a1)
-    u0 = math.acos(min(max(p, 0.0), 1.0))
-    theta1 = cmath.phase(initial.a1) if p > 1e-12 else 0.0
-    delta = theta1 - cmath.phase(initial.a2) if abs(initial.a2) > 1e-12 \
-        else 0.0
-    fit = least_squares(residuals, x0=[u0, theta1, delta],
-                        method="lm", xtol=1e-15, ftol=1e-15)
-    return unpack(fit.x)
 
 
 class TestScattering:
@@ -292,8 +267,17 @@ class TestReadout:
         ref = qm.MemoryState(1.0, 0.0)
         assert qm.observe(state, "A1") == pytest.approx(0.0, abs=1e-15)
         assert qm.observe(state, "A2") == pytest.approx(0.0, abs=1e-15)
+        assert qm.observe(state, "Ay") == pytest.approx(1.0, abs=1e-15)
         assert qm.observe(state, "A3", ref) == \
             pytest.approx(1.0 + math.sqrt(2.0), abs=1e-14)
+
+    def test_observables_lie_in_the_unit_ball(self):
+        qm.Observables(0.6, 0.0, 0.8, 0.0)
+        qm.Observables(0.6, 0.0, 0.8 * (1.0 + 4e-10), 0.0)
+        for a1, a2, ay in ((0.6, 0.0, 0.8 * (1.0 + 1e-9)),
+                           (0.6, 0.8, 1e-4), (0.0, 0.0, 1.001)):
+            with pytest.raises(ValueError):
+                qm.Observables(a1, a2, ay, 0.0)
 
     def test_estimator_recovers_a1(self):
         state = qm.MemoryState(0.8, 0.6j)
@@ -324,28 +308,42 @@ class TestReadout:
                                      1.0, math.pi / 2.0)
 
 
-class TestReconstruction:
-    def test_without_fourth_observable_is_ambiguous(self):
-        rng = np.random.default_rng(11)
-        state = random_state(rng)
-        s = qm.STANDARD_STATE
-        pred = qm._predict(state, s)
-        obs = qm.Observables(pred[0], pred[1], pred[2])
-        with pytest.raises(Ambiguous) as err:
-            qm.reconstruct_state(obs, s)
-        assert any(c.distance_up_to_phase(state) < 1e-9
-                   for c in err.value.candidates)
-        assert 2 <= len(err.value.candidates) <= 4
+def near(base, eps, rng):
+    """A state at distance eps from base, in a random direction."""
+    d = rng.normal(size=2) + 1j * rng.normal(size=2)
+    d -= np.vdot(base.vec, d) * base.vec
+    v = base.vec + eps * d / np.linalg.norm(d)
+    return qm.MemoryState.from_vec(v / np.linalg.norm(v))
 
-    def test_fourth_observable_resolves(self):
+
+# The standard state and the poles of the Bloch sphere, with states 1e-6
+# to 1e-12 from them: there interference with the standard state cannot
+# tell a state from its mirror image, so the read needs the third Bloch
+# component.
+_DEGENERATE = {"standard": qm.STANDARD_STATE,
+               "up": qm.MemoryState(1.0, 0.0),
+               "down": qm.MemoryState(0.0, 1.0),
+               "down_i": qm.MemoryState(0.0, 1j)}
+_NEAR_DEGENERATE = ([("standard", eps) for eps in (0.0, 1e-6, 1e-9, 1e-12)]
+                    + [(base, eps) for base in ("up", "down", "down_i")
+                       for eps in (0.0, 1e-6, 1e-8, 3e-9, 1e-12)])
+
+
+class TestReconstruction:
+    def test_round_trip(self):
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            state = random_state(rng)
-            s = qm.STANDARD_STATE
-            pred = qm._predict(state, s)
-            obs = qm.Observables(*pred)
-            rec = qm.reconstruct_state(obs, s)
-            assert rec.distance_up_to_phase(state) < 1e-7
+        states = [random_state(rng) for _ in range(200)]
+        states += [near(_DEGENERATE[base], eps, rng)
+                   for base, eps in _NEAR_DEGENERATE]
+        for state in states:
+            obs = qm.Observables(*(qm.observe(state, which) for which in
+                                   ("A1", "A2", "Ay")), 0.0)
+            rec = qm.reconstruct_state(obs)
+            assert rec.distance_up_to_phase(state) < 1e-15
+
+    def test_zero_bloch_vector_is_inconsistent(self):
+        with pytest.raises(Inconsistent):
+            qm.reconstruct_state(qm.Observables(0.0, 0.0, 0.0, 0.0))
 
 
 class TestProtocol:
@@ -382,52 +380,48 @@ class TestProtocol:
                                                noise_sigma=1e-4, rng=rng)
             assert recovered.distance_up_to_phase(state) < 1e-3
 
-    def test_noisy_read_polishes_before_tolerance(self):
-        # The closest candidate misses A4 by more than the tolerance;
-        # the polished state meets it.
+    @pytest.mark.parametrize("base, eps", _NEAR_DEGENERATE)
+    def test_read_at_and_near_degenerate_states(self, base, eps):
+        rng = np.random.default_rng(18)
+        s = qm.STANDARD_STATE
+        state = near(_DEGENERATE[base], eps, rng)
+        for _ in range(4):
+            g1, g3 = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 4.0, 2)
+            _, recovered, final = qm.read_protocol(state, s, g1, g3)
+            assert recovered.distance_up_to_phase(state) < 1e-9
+            assert final.distance_up_to_phase(state) < 1e-9
+            _, recovered, _ = qm.read_protocol(state, s, g1, g3,
+                                               noise_sigma=1e-4, rng=rng)
+            assert recovered.distance_up_to_phase(state) < 1e-3
+
+    def test_noisy_read_replay(self):
+        # Over the 240-point full-period design at a quarter turn, each
+        # fitted Bloch component has standard error sigma/sqrt(480); no
+        # read may miss by more than six of them.
+        sigma = 1e-4
+        bound = 6.0 * sigma / math.sqrt(480.0)
+        s = qm.STANDARD_STATE
         rng = np.random.default_rng(1067)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = qm.MemoryState.from_vec(v / np.linalg.norm(v))
-        obs, recovered, _ = qm.read_protocol(
-            state, qm.STANDARD_STATE, 2.0, 2.0, noise_sigma=1e-4, rng=rng)
-        assert recovered.distance_up_to_phase(state) < 1e-3
-        predicted = qm._predict(recovered, qm.STANDARD_STATE)
-        assert abs(predicted[2] - obs.A3) < 1e-9
-        assert abs(predicted[3] - obs.A4) < 1e-9
+        state = random_state(rng)
+        _, recovered, _ = qm.read_protocol(state, s, 2.0, 2.0,
+                                           noise_sigma=sigma, rng=rng)
+        worst = recovered.distance_up_to_phase(state)
+        rng = np.random.default_rng(2608)
+        v = rng.normal(size=(4000, 2)) + 1j * rng.normal(size=(4000, 2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        g = rng.choice([-1.0, 1.0], (4000, 2))
+        g *= rng.uniform(0.5, 4.0, (4000, 2))
+        for (a1, a2), (g1, g3) in zip(v.tolist(), g.tolist()):
+            state = qm.MemoryState(a1, a2)
+            _, recovered, _ = qm.read_protocol(state, s, g1, g3,
+                                               noise_sigma=sigma, rng=rng)
+            worst = max(worst, recovered.distance_up_to_phase(state))
+        assert worst <= bound, worst
 
     def test_needs_both_couplings(self):
         with pytest.raises(ZeroCoupling):
             qm.read_protocol(qm.STANDARD_STATE, qm.STANDARD_STATE,
                              0.0, 1.0)
-
-    def test_polish_matches_levenberg_marquardt(self, monkeypatch):
-        # The Gauss-Newton polish and MINPACK's LM, both from the
-        # candidate the read starts at, reach the same state; the polish
-        # stops at the rounding floor, short of its 10-step cap.
-        steps = [0]
-        lstsq = np.linalg.lstsq
-
-        def counted_lstsq(*args, **kwargs):
-            steps[0] += 1
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        rng = np.random.default_rng(2608)
-        s = qm.STANDARD_STATE
-        for _ in range(200):
-            state = random_state(rng)
-            g1, g3 = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 4.0, 2)
-            obs, recovered, _ = qm.read_protocol(
-                state, s, g1, g3, noise_sigma=1e-4, rng=rng)
-            assert recovered.distance_up_to_phase(state) <= 1e-3
-            # 5e-3 is the read's tolerance max(1e-6, 50 sigma)
-            initial = qm._closest_candidate(obs, s, 5e-3)[0]
-            steps[0] = 0
-            polished = qm._polish(initial, obs, s)
-            assert steps[0] < 10
-            assert np.array_equal(polished.vec, recovered.vec)
-            reference = lm_polish(initial, obs, s)
-            assert np.max(np.abs(polished.vec - reference.vec)) <= 1e-8
 
 
 class TestAdmissibility:
