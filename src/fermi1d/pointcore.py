@@ -64,6 +64,7 @@ FAMILY_SMALL_SCALE = "small-scale-limit"
 FAMILY_LARGE_SCALE = "large-scale-limit"
 
 _EPS = np.finfo(float).eps
+_POLE_TOL = 1e-12       # a pole: |denominator| < _POLE_TOL * its scale
 
 
 @dataclass(frozen=True)
@@ -182,23 +183,23 @@ def _couplings_quad(g: Couplings, kappa):
     return d, scale, (f1, f24, f3, f24)
 
 
-def _evaluate(closed_form, params, kappa: np.ndarray, pole_tol: float):
+def _evaluate(closed_form, params, kappa: np.ndarray):
     """Evaluate closed_form(params, kappa) -> (denominator, scale, quad)
     over an array of spectral points.  Returns the quad, the mask of the
-    poles, where |denominator| < pole_tol * scale, and the mask of the
+    poles, where |denominator| < 1e-12 * scale, and the mask of the
     points off the poles at which the quad is not finite."""
     with np.errstate(all="ignore"):
         den, scale, quad = closed_form(params, kappa)
-        pole = abs(den) < pole_tol * scale
+        pole = abs(den) < _POLE_TOL * scale
     return quad, pole, ~(np.isfinite(quad).all(axis=0) | pole)
 
 
-def _resolvent(closed_form, params, kappa, pole_tol: float):
+def _resolvent(closed_form, params, kappa):
     """The quad at a float or at an array of spectral points, raising what
     a loop of float calls would raise at its first bad point."""
     kappa = spectral_points(kappa)
     points = np.asarray(kappa)
-    quad, pole, overflow = _evaluate(closed_form, params, points, pole_tol)
+    quad, pole, overflow = _evaluate(closed_form, params, points)
     bad = np.flatnonzero(pole | overflow)
     if bad.size:
         at = float(points.flat[bad[0]])
@@ -209,31 +210,28 @@ def _resolvent(closed_form, params, kappa, pole_tol: float):
                            else quad))
 
 
-def resolvent_from_couplings(g, kappa, pole_tol: float = 1e-12
-                             ) -> ResolventQuad:
+def resolvent_from_couplings(g, kappa) -> ResolventQuad:
     """Evaluate f1..f4 for couplings g at resolvent parameter kappa > 0, a
     float or an array (then each field is an array of its shape).
 
-    Raises PoleAtSpectralPoint when |D(kappa)| falls below
-    pole_tol * (1 + |g3| kappa + |g1|/kappa), signalling a bound state,
+    Raises PoleAtSpectralPoint when |D(kappa)| falls below the fixed
+    1e-12 * (1 + |g3| kappa + |g1|/kappa), signalling a bound state,
     and ValueError when the quads are not finite (kappa so small or so
     large that a term overflows), at the first such point of an array.
     """
-    return _resolvent(_couplings_quad, _as_couplings(g), kappa, pole_tol)
+    return _resolvent(_couplings_quad, _as_couplings(g), kappa)
 
 
-def resolvent_grid(g, kappa, pole_tol: float = 1e-12
-                   ) -> tuple[ResolventQuad, np.ndarray]:
+def resolvent_grid(g, kappa) -> tuple[ResolventQuad, np.ndarray]:
     """Evaluate f1..f4 at every point of a kappa array: (quad, pole), a
     quad of arrays of the shape of kappa and the mask of the poles.
 
-    A pole is flagged, not raised, and holds NaN; every other point equals
-    `resolvent_from_couplings` exactly.  Raises ValueError if a point off
-    the poles is not finite.
+    A pole, by the 1e-12 test of `resolvent_from_couplings`, is flagged
+    and holds NaN; every other point equals it exactly.  Raises ValueError
+    if a point off the poles is not finite.
     """
     points = np.asarray(spectral_points(kappa))
-    quad, pole, overflow = _evaluate(_couplings_quad, _as_couplings(g),
-                                     points, pole_tol)
+    quad, pole, overflow = _evaluate(_couplings_quad, _as_couplings(g), points)
     bad = _first(points, overflow)
     if bad is not None:
         raise ValueError(f"resolvent is not finite at kappa = {bad!r}")
@@ -309,26 +307,25 @@ def _constants_quad(c: ResolventConstants, kappa):
                       1.0 - 2.0 * c.c4 * w / t)
 
 
-def resolvent_from_constants(c: ResolventConstants, kappa,
-                             pole_tol: float = 1e-12) -> ResolventQuad:
+def resolvent_from_constants(c: ResolventConstants, kappa) -> ResolventQuad:
     """Evaluate the constants-family quads at kappa > 0, a float or an
-    array, raising as `resolvent_from_couplings` does.
+    array, raising as `resolvent_from_couplings` does (a pole at 1e-12).
 
     The generic family branches on the sign of the discriminant; the
     limiting families are first-degree rational in kappa.  All square
     roots are taken positive.
     """
-    return _resolvent(_constants_quad, c, kappa, pole_tol)
+    return _resolvent(_constants_quad, c, kappa)
 
 
-def greens_function(g, kappa: float, x, xp, pole_tol: float = 1e-12):
+def greens_function(g, kappa: float, x, xp):
     """Green's function R_kappa(x, x') of the point interaction.
 
     Broadcasts over arrays x and xp from one evaluation of the quads; a
     float for scalar input.  No coordinate may be 0, so that every sign
-    sector is defined.
+    sector is defined; poles raise as in `resolvent_from_couplings`.
     """
-    quad = resolvent_from_couplings(g, kappa, pole_tol=pole_tol)
+    quad = resolvent_from_couplings(g, kappa)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     if np.any(x == 0.0) or np.any(xp == 0.0):

@@ -88,6 +88,10 @@ class MemoryState:
 STANDARD_STATE = MemoryState(1.0 / math.sqrt(2.0),
                              cmath.exp(1j * math.pi / 4.0) / math.sqrt(2.0))
 
+_ANGLE_TOL = 1e-12      # a rotation this close to a whole turn needs no wave
+_FACTOR_TOL = 1e-9
+_N_POSITIONS = 240      # samples per interference pattern
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -194,20 +198,20 @@ def apply_plan(state: MemoryState, plan: Plan, g1: float, g3: float
     return _scatter(*_pair(plan, g1, g3), state)
 
 
-def _axis_plan(rotations: list[tuple[float, str]], g1: float, g3: float,
-               tol: float = 1e-12) -> Plan:
+def _axis_plan(rotations: list[tuple[float, str]], g1: float, g3: float
+               ) -> Plan:
     """One plan for a product of rotations exp(-i sigma theta), each a
     (theta, parity) pair about the parity's axis, first leftmost.
 
-    A single wave reaches angles theta with theta*sign(coupling) in
-    (0, pi); anything else splits into two waves of half the (reduced)
-    angle.
+    A rotation within 1e-12 of a whole turn needs no wave.  A single wave
+    reaches angles theta with theta*sign(coupling) in (0, pi); anything
+    else splits into two waves of half the (reduced) angle.
     """
     waves = []
     for theta, parity in rotations:
         coupling = g1 if parity == "even" else g3
         t = (theta * math.copysign(1.0, coupling)) % (2.0 * math.pi)
-        if t < tol or t > 2.0 * math.pi - tol:
+        if t < _ANGLE_TOL or t > 2.0 * math.pi - _ANGLE_TOL:
             continue
         n = 1 if t < math.pi - 1e-9 else 2
         # each angle t/n in (0, pi); invert the arctan relation for k > 0
@@ -218,12 +222,12 @@ def _axis_plan(rotations: list[tuple[float, str]], g1: float, g3: float,
     return Plan(tuple(p for p, _ in waves), tuple(k for _, k in waves))
 
 
-def factorize_su2(u: np.ndarray, g1: float, g3: float,
-                  tol: float = 1e-9) -> Plan:
+def factorize_su2(u: np.ndarray, g1: float, g3: float) -> Plan:
     """Express an SU(2) matrix as a plan of at most six scatterings.
 
     Uses the Euler decomposition u = exp(-i sigma_3 a) exp(-i sigma_1 b)
-    exp(-i sigma_3 c); each rotation maps to one or two waves.
+    exp(-i sigma_3 c); each rotation maps to one or two waves, and no
+    entry of the plan's matrix may miss u by more than 1e-9.
     """
     if g1 == 0.0 or g3 == 0.0:
         raise ZeroCoupling("both couplings must be nonzero to reach a "
@@ -254,9 +258,9 @@ def factorize_su2(u: np.ndarray, g1: float, g3: float,
     alpha, beta = _pair(plan, g1, g3)
     err = max(abs(alpha - u00), abs(beta - u01),
               abs(-beta.conjugate() - u10), abs(alpha.conjugate() - u11))
-    if err > tol:
+    if err > _FACTOR_TOL:
         raise NotSpecialUnitary(f"factorization residual {err:g} exceeds "
-                                f"{tol:g}")
+                                f"{_FACTOR_TOL:g}")
     return plan
 
 
@@ -269,8 +273,8 @@ def interference_pattern(state: MemoryState, wave: Plan,
     sin(phi)] with phi the odd scattering phase.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0.0):
-        raise ValueError("sample positions must be positive")
+    if not np.all(np.isfinite(xs) & (xs > 0.0)):
+        raise ValueError("sample positions must be positive and finite")
     return _pattern(state, wave, g1, g3, xs)[0]
 
 
@@ -386,14 +390,13 @@ def reset(current: MemoryState, s: MemoryState,
 
 
 def _interrogate(state: MemoryState, wave: Plan, g1: float, g3: float,
-                 n_positions: int, noise_sigma: float, rng
-                 ) -> tuple[float, MemoryState]:
-    """Measure one interference pattern, then undo the one-wave plan's
-    scattering (up to global phase); returns the estimate and the
-    restored state."""
+                 noise_sigma: float, rng) -> tuple[float, MemoryState]:
+    """Measure one interference pattern at 240 positions over one period,
+    then undo the one-wave plan's scattering (up to global phase); returns
+    the estimate and the restored state."""
     (k,) = wave.k
     period = math.pi / k
-    xs = 0.1 * period + np.linspace(0.0, period, n_positions,
+    xs = 0.1 * period + np.linspace(0.0, period, _N_POSITIONS,
                                     endpoint=False)
     values, scattered = _pattern(state, wave, g1, g3, xs)
     if noise_sigma > 0.0:
@@ -409,23 +412,22 @@ _PREROTATION_ANGLE = math.pi / 4.0
 
 
 def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,
-                  noise_sigma: float = 0.0, rng=None,
-                  n_positions: int = 240
+                  noise_sigma: float = 0.0, rng=None
                   ) -> tuple[Observables, MemoryState, MemoryState]:
     """Full read sequence: interrogate, restore, reconstruct.
 
     An odd wave at k = 2/|g3| and an even wave at k = |g1|/2 (both at a
     quarter-turn phase, the best-conditioned choice) yield A1 = <sigma_3>
-    and A2 = <sigma_1> from their interference patterns; each
-    interrogation scatters the memory and is undone before the next
-    step.  A3 is the interference with the standard state s.  A quarter
-    turn about sigma_3, then a third (even) interrogation, yields
-    Ay = <sigma_2>; the turn is undone last.  The fitted Bloch vector
-    must have unit length within max(1e-6, 50 noise_sigma), or the read
-    raises Inconsistent; it is scaled to unit length and mapped to a
-    state by reconstruct_state.  Returns (observables, reconstructed
-    state, final memory state); the final state equals the input up to
-    global phase.
+    and A2 = <sigma_1> from their interference patterns (240 positions over
+    one period); each interrogation scatters the memory and is undone
+    before the next step.  A3 is the interference with the standard state
+    s.  A quarter turn about sigma_3, then a third (even) interrogation,
+    yields Ay = <sigma_2>; the turn is undone last.  The fitted Bloch
+    vector must have unit length within max(1e-6, 50 noise_sigma), or the
+    read raises Inconsistent; it is scaled to unit length and mapped to a
+    state by reconstruct_state.  Returns (observables, reconstructed state,
+    final memory state); the final state equals the input up to global
+    phase.
     """
     if g1 == 0.0 or g3 == 0.0:
         raise ZeroCoupling("the protocol needs both couplings nonzero")
@@ -434,13 +436,12 @@ def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,
     odd = Plan(("odd",), (2.0 / abs(g3),))
     even = Plan(("even",), (abs(g1) / 2.0,))
 
-    a1, cur = _interrogate(state, odd, g1, g3, n_positions, noise_sigma, rng)
-    a2, cur = _interrogate(cur, even, g1, g3, n_positions, noise_sigma, rng)
+    a1, cur = _interrogate(state, odd, g1, g3, noise_sigma, rng)
+    a2, cur = _interrogate(cur, even, g1, g3, noise_sigma, rng)
     a3 = observe(cur, "A3", s)
     cur = apply_plan(cur, _axis_plan([(_PREROTATION_ANGLE, "odd")], g1, g3),
                      g1, g3)
-    minus_ay, cur = _interrogate(cur, even, g1, g3, n_positions,
-                                 noise_sigma, rng)
+    minus_ay, cur = _interrogate(cur, even, g1, g3, noise_sigma, rng)
     cur = apply_plan(cur, _axis_plan([(-_PREROTATION_ANGLE, "odd")], g1, g3),
                      g1, g3)
 
@@ -459,31 +460,30 @@ def admissibility_check(alpha: complex, beta: complex, k: float,
     """Purity test of an interrogating wave alpha*even + beta*odd.
 
     The outgoing even and odd waves are orthogonal modes, so the reduced
-    density matrix of the memory after scattering state a is
-    |alpha|^2 (S+ a)(S+ a)^dag + |beta|^2 (S- a)(S- a)^dag.  The wave is
-    admissible when the memory stays pure (purity = tr M^2 = 1) for
-    every sampled state.
+    density matrix after scattering state a, a MemoryState or a normalized
+    vector, is M = wa (S+ a)(S+ a)^dag + wb (S- a)(S- a)^dag, with
+    wa = |alpha|^2 and wb = |beta|^2; its purity is wa^2 + wb^2 +
+    2 wa wb |<S+ a, S- a>|^2.  The wave is admissible when every sampled
+    state stays pure; the report holds the least pure state's M.
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
         raise ValueError("|alpha|^2 + |beta|^2 must be 1")
-    wa = abs(alpha) ** 2
-    wb = abs(beta) ** 2
-    sp = s_plus(g1, k)
-    sm = s_minus(g3, k)
-    worst_purity = 1.0
-    worst_m = None
+    wa, wb = abs(alpha) ** 2, abs(beta) ** 2
+    even = _pair(Plan(("even",), (float(k),)), g1, g3)
+    odd = _pair(Plan(("odd",), (float(k),)), g1, g3)
+    worst = None
     for state in states:
-        vec = state.vec if isinstance(state, MemoryState) \
-            else np.asarray(state, dtype=complex).ravel()
-        ap = sp @ vec
-        am = sm @ vec
-        m = wa * np.outer(ap, ap.conj()) + wb * np.outer(am, am.conj())
-        purity = float(np.real(np.trace(m @ m)))
-        if worst_m is None or purity < worst_purity:
-            worst_purity = purity
-            worst_m = m
-    if worst_m is None:
+        if not isinstance(state, MemoryState):
+            state = MemoryState.from_vec(state)
+        ap, am = _scatter(*even, state), _scatter(*odd, state)
+        overlap = ap.a1.conjugate() * am.a1 + ap.a2.conjugate() * am.a2
+        purity = wa * wa + wb * wb + 2.0 * wa * wb * abs(overlap) ** 2
+        if worst is None or purity < worst[0]:
+            worst = purity, ap, am
+    if worst is None:
         raise ValueError("need at least one sample state")
-    return AdmissibilityReport(purity=worst_purity,
-                               admissible=worst_purity >= 1.0 - 1e-10,
-                               density_matrix=worst_m)
+    purity, ap, am = worst
+    return AdmissibilityReport(
+        purity=purity, admissible=purity >= 1.0 - 1e-10,
+        density_matrix=(wa * np.outer(ap.vec, ap.vec.conj())
+                        + wb * np.outer(am.vec, am.vec.conj())))

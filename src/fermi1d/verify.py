@@ -30,6 +30,10 @@ __all__ = [
     "run_suite",
 ]
 
+_ODE_STEP = 1e-5        # difference steps, relative to kappa
+_LOG_STEP = 1e-4
+_QUADRATURE_TOL = 1e-8  # the largest error estimate a quadrature may have
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -50,23 +54,24 @@ def _worst(residuals) -> float:
     return float(np.max(np.abs(residuals), initial=0.0))
 
 
-def resolvent_residual_closed(provider, kappa1: float, kappa2: float
-                              ) -> np.ndarray:
+def resolvent_residual_closed(provider, kappa1, kappa2) -> np.ndarray:
     """Residuals of the algebraic resolvent identity in all four sign
-    sectors.
+    sectors at spectral points kappa1 and kappa2, two floats or two arrays
+    of one shape: an array of shape (4,) + that shape.
 
-    The provider maps kappa to a ResolventQuad.  For a true resolvent
-    family the combination below vanishes identically for any pair of
-    distinct spectral points.
+    The provider maps kappa, a float or an array, to a ResolventQuad of
+    its shape; it is called once per side.  For a true resolvent family
+    the combination below vanishes identically at distinct points.
     """
-    if kappa1 == kappa2:
+    if np.any(kappa1 == kappa2):
         raise ValueError("the identity needs two distinct spectral points")
     q1 = provider(kappa1)
     q2 = provider(kappa2)
     dm = kappa1 - kappa2
     dp = kappa1 + kappa2
-    # the sign sectors of f1, f2, f3, f4
-    sx, sxp = np.array([1, -1, -1, 1]), np.array([1, 1, -1, -1])
+    # the sign sectors of f1, f2, f3, f4, along the first axis
+    sx, sxp = (np.reshape(s, (4,) + (1,) * np.ndim(dm))
+               for s in ([1, -1, -1, 1], [1, 1, -1, -1]))
     return np.abs(quad_sector(q1, sx, sxp) / dm
                   + quad_sector(q1, sx, -sxp) / dp
                   - quad_sector(q2, sx, sxp) / dm
@@ -108,35 +113,33 @@ def _overlap_integral(g, kappa1: float, kappa2: float, x: float, xp: float,
 
 
 def resolvent_residual_integral(g, kappa1: float, kappa2: float,
-                                pairs=None, truncation: float | None = None,
-                                tolerance: float = 1e-8) -> float:
-    """Residual of the defining integral identity by Gauss-Legendre
-    quadrature, truncated at L where the analytic tail bound exp(-(k1+k2)L)
-    falls below half the tolerance: the max over the (x, x') pairs."""
+                                pairs=((0.7, 1.3), (-0.4, 0.9), (-1.1, -0.6),
+                                       (1.5, -0.8))) -> float:
+    """Residual of the defining integral identity, the max over the (x, x')
+    pairs, by Gauss-Legendre quadrature truncated at L where the tail bound
+    exp(-(k1+k2)L) < 5e-9; raises QuadratureFailure at an error over 1e-8."""
     if kappa1 == kappa2:
         raise ValueError("the identity needs two distinct spectral points")
-    if pairs is None:
-        pairs = [(0.7, 1.3), (-0.4, 0.9), (-1.1, -0.6), (1.5, -0.8)]
-    if truncation is None:
-        truncation = max(40.0,
-                         math.log(2.0 / tolerance) / (kappa1 + kappa2))
+    truncation = max(40.0,
+                     math.log(2.0 / _QUADRATURE_TOL) / (kappa1 + kappa2))
     r = functools.partial(pointcore.greens_function, g)
     residuals = [r(kappa1, x, xp) - r(kappa2, x, xp)
                  + (kappa1 ** 2 - kappa2 ** 2) * _overlap_integral(
-                     g, kappa1, kappa2, x, xp, truncation, tolerance)
+                     g, kappa1, kappa2, x, xp, truncation, _QUADRATURE_TOL)
                  for x, xp in pairs]
     return _worst(residuals)
 
 
-def _derivative(fn, x, h):
-    """Central difference with one Richardson step, at a point or over an
-    array of points: four calls of fn."""
+def _derivative(fn, x, rel):
+    """Central difference of step h = rel * x with one Richardson step, at
+    a point or over an array of points: four calls of fn."""
+    h = rel * x
     d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
     d2 = (fn(x + h / 2.0) - fn(x - h / 2.0)) / h
     return (4.0 * d2 - d1) / 3.0
 
 
-def ode_residual(provider, kappas, h_rel: float = 1e-5) -> np.ndarray:
+def ode_residual(provider, kappas) -> np.ndarray:
     """Residuals of the four coupled first-order ODEs in kappa.
 
     The quads of any resolvent family satisfy
@@ -144,14 +147,14 @@ def ode_residual(provider, kappas, h_rel: float = 1e-5) -> np.ndarray:
         f1' + (f2 + f4)/(2k) - (f2 f4 + f1^2)/(2k) = 0
 
     and its three sign-sector companions; derivatives are taken by
-    Richardson-extrapolated central differences with step h_rel * kappa.
+    Richardson-extrapolated central differences with step 1e-5 * kappa.
     The provider maps an array of kappa to a ResolventQuad of arrays; it
     is called once per stencil offset, five times in all.  Returns the
     max absolute residual per equation over the grid.
     """
     kappa = np.atleast_1d(np.asarray(kappas, dtype=float))
     f1, f2, f3, f4 = provider(kappa).as_array()
-    fp = _derivative(lambda t: provider(t).as_array(), kappa, h_rel * kappa)
+    fp = _derivative(lambda t: provider(t).as_array(), kappa, _ODE_STEP)
     res = np.abs([
         fp[0] + (f2 + f4 - f2 * f4 - f1 ** 2) / (2.0 * kappa),
         fp[1] + (f1 + f3 - f2 * f3 - f1 * f2) / (2.0 * kappa),
@@ -161,15 +164,14 @@ def ode_residual(provider, kappas, h_rel: float = 1e-5) -> np.ndarray:
     return np.max(res, axis=1, initial=0.0)
 
 
-def appendix_log_residual(c: ResolventConstants, kappas,
-                          h_rel: float = 1e-4) -> dict:
+def appendix_log_residual(c: ResolventConstants, kappas) -> dict:
     """Check the log-variable reduction of the ODE system.
 
     Reconstructs F(kappa) = log((f2 - 1)/c2), verifies the second-order
     equation 2k (k F')' = (k F')^2 - 1 + (c3^2 + c2 c4) e^{2F}, and the
     two side relations (f2-1)/c2 = (f4-1)/c4 and f1 - f3 = 2 c3 e^F, over
-    the whole grid at once.  Raises LogDomain where (f2-1)/c2 is not
-    positive.
+    the whole grid at once (difference step 1e-4 * kappa).  Raises
+    LogDomain where (f2-1)/c2 is not positive.
     """
     if c.c2 == 0.0:
         raise ValueError("the log variable needs c2 != 0")
@@ -184,9 +186,9 @@ def appendix_log_residual(c: ResolventConstants, kappas,
         return np.log(ratio)
 
     def kfp(kappa):
-        return kappa * _derivative(big_f, kappa, h_rel * kappa)
+        return kappa * _derivative(big_f, kappa, _LOG_STEP)
 
-    lhs = 2.0 * kappas * _derivative(kfp, kappas, h_rel * kappas)
+    lhs = 2.0 * kappas * _derivative(kfp, kappas, _LOG_STEP)
     log_ratio = big_f(kappas)
     rhs = (kfp(kappas) ** 2 - 1.0
            + (c.c3 ** 2 + c.c2 * c.c4) * np.exp(2.0 * log_ratio))
@@ -236,10 +238,10 @@ def default_suite() -> dict:
 
     def closed_form():
         worst = _worst([resolvent_residual_closed(
-            functools.partial(pointcore.resolvent_from_couplings, g), k1, k2)
+            functools.partial(pointcore.resolvent_from_couplings, g),
+            np.array([0.5, 0.3, 1.7]), np.array([2.0, 1.1, 4.0]))
             for g in [(1.0, 2.0, 3.0), (2.0, 0.0, 0.0), (-1.5, 0.7, 2.2),
-                      (0.0, 1.0, 0.0)]
-            for k1, k2 in [(0.5, 2.0), (0.3, 1.1), (1.7, 4.0)]])
+                      (0.0, 1.0, 0.0)]])
         return ResidualReport("resolvent_closed", worst,
                               "4 coupling triples x 3 spectral pairs",
                               1e-12)
@@ -289,8 +291,7 @@ def default_suite() -> dict:
 
     def corrupted_self_test():
         provider = _corrupted_provider((1.0, 2.0, 3.0))
-        worst = float(np.max(resolvent_residual_closed(provider, 0.5,
-                                                       2.0)))
+        worst = _worst(resolvent_residual_closed(provider, 0.5, 2.0))
         # this run must FAIL: the perturbation is designed to be seen
         return ResidualReport("corrupted_self_test", worst,
                               "f1 perturbed by 1e-3 (must fail)", 1e-4)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermi1d
-from fermi1d import bulktext, channels, cli, pointcore
+from fermi1d import bulktext, channels, cli, pointcore, qmemory
 from fermi1d.cli import main
 from fermi1d.errors import PoleAtSpectralPoint
 
@@ -439,6 +439,29 @@ class TestMemory:
         code, out = run(capsys, ["memory", "--config", cfg])
         assert code == 0
         assert json.loads(out)[0]["recovery_error"] < 1e-9
+
+    def test_custom_standard_state(self, tmp_path, capsys):
+        standard = qmemory.MemoryState(0.6, 0.8j)
+        cfg = write_config(tmp_path, {
+            "schema": 1, "g1": 2.0, "g3": 2.0,
+            "standard_state": [[0.6, 0], [0, 0.8]],
+            "script": [{"op": "write", "target": [0, 1]}, {"op": "read"},
+                       {"op": "reset"}]})
+        code, out = run(capsys, ["memory", "--config", cfg])
+        assert code == 0
+        log = json.loads(out)
+        written = qmemory.MemoryState(*(complex(*c) for c in log[0]["state"]))
+        assert log[1]["observables"]["A3"] == pytest.approx(
+            qmemory.observe(written, "A3", standard), abs=1e-12)
+        final = qmemory.MemoryState(*(complex(*c) for c in log[2]["state"]))
+        assert log[2]["reset_error"] < 1e-9
+        assert final.distance_up_to_phase(standard) < 1e-9
+
+    def test_standard_state_must_be_normalized(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1, "g1": 2.0, "g3": 2.0,
+                                      "standard_state": [0.6, 0.6],
+                                      "script": []})
+        assert run(capsys, ["memory", "--config", cfg]) == (2, "")
 
     def test_empty_script_is_noop(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "g1": 2.0, "g3": 2.0,

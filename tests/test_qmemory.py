@@ -262,6 +262,13 @@ class TestReadout:
                                        xs=[math.pi / 4.0])
         assert vals[0] == pytest.approx(4.0, abs=1e-14)
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_pattern_needs_positive_finite_positions(self, x):
+        with pytest.raises(ValueError, match="positive and finite"):
+            qm.interference_pattern(qm.MemoryState(1.0, 0.0),
+                                    qm.Plan(("odd",), (1.0,)), 1.0, 2.0,
+                                    [0.5, x])
+
     def test_observables_frozen(self):
         state = qm.MemoryState(1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
         ref = qm.MemoryState(1.0, 0.0)
@@ -445,3 +452,7 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             qm.admissibility_check(1.0, 1.0, 1.0, 2.0, 2.0,
                                    [qm.MemoryState(1.0, 0.0)])
+
+    def test_raw_vector_must_be_normalized(self):
+        with pytest.raises(ValueError, match="normalized"):
+            qm.admissibility_check(1.0, 0.0, 1.0, 2.0, 2.0, [[2, 0]])

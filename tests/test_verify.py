@@ -8,7 +8,7 @@ import pytest
 
 import fermi1d
 from fermi1d import pointcore, verify
-from fermi1d.errors import LogDomain, PoleAtSpectralPoint
+from fermi1d.errors import LogDomain, PoleAtSpectralPoint, QuadratureFailure
 from fermi1d.pointcore import ResolventConstants, ResolventQuad
 
 
@@ -64,6 +64,45 @@ class TestClosedIdentity:
             verify.resolvent_residual_closed(
                 coupling_provider((1.0, 0.0, 0.0)), 1.0, 1.0)
 
+    def test_needs_distinct_points_in_arrays(self):
+        with pytest.raises(ValueError, match="distinct"):
+            verify.resolvent_residual_closed(
+                coupling_provider((1.0, 0.0, 0.0)), np.array([0.5, 1.0]),
+                np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(1,), (6,), (2, 3)])
+    def test_one_provider_call_per_side(self, shape):
+        calls = []
+
+        def provider(kappa):
+            calls.append(np.shape(kappa))
+            return pointcore.resolvent_from_couplings((-1.5, 0.7, 2.2), kappa)
+
+        kappa1 = np.linspace(0.3, 1.7, 6)[:math.prod(shape)].reshape(shape)
+        kappa2 = 2.5 * kappa1 + 0.2
+        res = verify.resolvent_residual_closed(provider, kappa1, kappa2)
+        assert calls == [shape] * 2
+        assert res.shape == (4,) + shape
+        # each pair's residuals are those of a call at that pair of floats
+        for idx in np.ndindex(shape):
+            assert np.array_equal(res[(slice(None),) + idx],
+                                  verify.resolvent_residual_closed(
+                                      provider, float(kappa1[idx]),
+                                      float(kappa2[idx])))
+
+    def test_suite_check_calls_the_provider_twice_per_triple(self,
+                                                             monkeypatch):
+        calls = []
+        exact = pointcore.resolvent_from_couplings
+
+        def counted(g, kappa):
+            calls.append(np.shape(kappa))
+            return exact(g, kappa)
+
+        monkeypatch.setattr(pointcore, "resolvent_from_couplings", counted)
+        assert verify.default_suite()["resolvent_closed"]().passed
+        assert calls == [(3,)] * 8
+
 
 class TestIntegralIdentity:
     def test_holds_by_quadrature(self):
@@ -100,13 +139,21 @@ class TestIntegralIdentity:
     def test_flags_shifted_quads(self, monkeypatch):
         exact = pointcore.resolvent_from_couplings
 
-        def shifted(g, kappa, pole_tol=1e-12):
-            q = exact(g, kappa, pole_tol)
+        def shifted(g, kappa):
+            q = exact(g, kappa)
             return ResolventQuad(q.f1 + 1e-3, q.f2, q.f3, q.f4)
 
         monkeypatch.setattr(pointcore, "resolvent_from_couplings", shifted)
         res = verify.resolvent_residual_integral((1.0, 2.0, 3.0), 1.0, 2.0)
         assert res > 1e-5
+
+    def test_coarse_rule_fails_the_error_estimate(self, monkeypatch):
+        # a 2-point rule's estimate |I(w) - I(w/2)| is near 1e-2, far
+        # above the fixed 1e-8
+        monkeypatch.setattr(verify, "_gauss_legendre",
+                            lambda: np.polynomial.legendre.leggauss(2))
+        with pytest.raises(QuadratureFailure, match="exceeds 1e-08"):
+            verify.resolvent_residual_integral((1.0, 2.0, 3.0), 1.0, 2.0)
 
 
 class TestOdeSystem:
