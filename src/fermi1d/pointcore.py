@@ -153,8 +153,14 @@ class ResolventConstants:
 def spectral_points(points):
     """The spectral points kappa or k: a float for a scalar, a float array
     for an array.  Raises ValueError unless every point is a positive
-    finite real."""
+    finite real.  A Python float, or a tuple of them, is checked in Python;
+    anything else, and every failure, takes the numpy test."""
+    if type(points) is float and 0.0 < points < math.inf:
+        return points
     array = np.asarray(points, dtype=float)
+    if type(points) is tuple and all(type(p) is float and 0.0 < p < math.inf
+                                     for p in points):
+        return array
     bad = _first(array, ~(np.isfinite(array) & (array > 0.0)))
     if bad is not None:
         raise ValueError(f"spectral point {bad!r} is not a positive real")

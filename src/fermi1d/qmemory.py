@@ -68,6 +68,8 @@ class MemoryState:
     @classmethod
     def from_vec(cls, vec) -> "MemoryState":
         vec = np.asarray(vec, dtype=complex).ravel()
+        if vec.size != 2:
+            raise ValueError("a memory state has exactly two components")
         return cls(complex(vec[0]), complex(vec[1]))
 
     @property
@@ -91,6 +93,10 @@ STANDARD_STATE = MemoryState(1.0 / math.sqrt(2.0),
 _ANGLE_TOL = 1e-12      # a rotation this close to a whole turn needs no wave
 _FACTOR_TOL = 1e-9
 _N_POSITIONS = 240      # samples per interference pattern
+# A read samples at x_j = (0.1 + j/240) pi/k, so its phases e^{2ik x_j}
+# and its projection weights (2/240) sin(2k x_j) do not depend on k.
+_PHASES = np.exp(2j * np.pi * (np.arange(_N_POSITIONS) / _N_POSITIONS + 0.1))
+_SINES = (2.0 / _N_POSITIONS) * _PHASES.imag
 
 
 @dataclass(frozen=True)
@@ -275,24 +281,22 @@ def interference_pattern(state: MemoryState, wave: Plan,
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs) & (xs > 0.0)):
         raise ValueError("sample positions must be positive and finite")
-    return _pattern(state, wave, g1, g3, xs)[0]
+    phases = np.exp(2j * wave.k[0] * xs)
+    return _pattern(state, *_pair(wave, g1, g3), phases)[0]
 
 
-def _pattern(state: MemoryState, wave: Plan, g1: float, g3: float, xs
+def _pattern(state: MemoryState, alpha: complex, beta: complex, phases
              ) -> tuple[np.ndarray, MemoryState]:
-    """interference_pattern and the scattered state, from one pair."""
-    scattered = _scatter(*_pair(wave, g1, g3), state)
+    """The intensity at phases e^{2ikx}, and the state scattered by a pair."""
+    scattered = _scatter(alpha, beta, state)
     amp = (state.a1.conjugate() * scattered.a1
            + state.a2.conjugate() * scattered.a2)
-    return 2.0 * (1.0 + (amp * np.exp(2j * wave.k[0] * xs)).real), scattered
+    return 2.0 * (1.0 + (amp * phases).real), scattered
 
 
 def estimator_phase(wave: Plan, g1: float, g3: float) -> float:
-    """The phase to hand to estimate_from_pattern for this one-wave plan.
-
-    With this phase the estimator returns A1 for an odd interrogation
-    and A2 for an even one.
-    """
+    """The phase of this one-wave plan's pattern, as estimate_from_pattern
+    and the read take it: A1 comes out for an odd wave, A2 for an even."""
     return -op_angle(wave, g1, g3)
 
 
@@ -314,31 +318,27 @@ def observe(state: MemoryState, which: str,
 
 
 def estimate_from_pattern(samples, k: float, phi: float) -> float:
-    """Least-squares extraction of the state-dependent pattern
-    coefficient.
-
-    Fits value ~ c0 + cc cos(2kx) + cs sin(2kx) and returns
-    -cs / (2 sin phi).
-    """
+    """Least-squares fit of value ~ c0 + cc cos(2kx) + cs sin(2kx) to
+    (x, value) samples at any positions; returns -cs / (2 sin phi)."""
+    sine = _phase_sine(phi)
     samples = list(samples)
-    return _fit(np.array([x for x, _ in samples], dtype=float),
-                np.array([v for _, v in samples], dtype=float), k, phi)
-
-
-def _fit(xs: np.ndarray, ys: np.ndarray, k: float, phi: float) -> float:
-    if abs(math.sin(phi)) < 1e-9:
-        raise PhaseBlind("pattern carries no state information at this "
-                         "phase")
-    if len(xs) < 3:
+    if len(samples) < 3:
         raise DegenerateSampling("need at least three samples")
-    design = np.column_stack([np.ones_like(xs),
-                              np.cos(2.0 * k * xs),
-                              np.sin(2.0 * k * xs)])
+    xs, ys = (np.array(column, dtype=float) for column in zip(*samples))
+    t = 2.0 * k * xs
+    design = np.column_stack([np.ones_like(xs), np.cos(t), np.sin(t)])
     coeffs, _, _, singular_values = np.linalg.lstsq(design, ys, rcond=None)
     if np.count_nonzero(singular_values > 1e-9) < 3:
         raise DegenerateSampling("sample positions do not span the fit "
                                  "basis")
-    return float(-coeffs[2] / (2.0 * math.sin(phi)))
+    return float(-coeffs[2] / (2.0 * sine))
+
+
+def _phase_sine(phi: float) -> float:
+    """sin(phi), by which a pattern at phase phi carries the state."""
+    if abs(math.sin(phi)) < 1e-9:
+        raise PhaseBlind("pattern carries no state information at this phase")
+    return math.sin(phi)
 
 
 def reconstruct_state(obs: Observables) -> MemoryState:
@@ -391,19 +391,18 @@ def reset(current: MemoryState, s: MemoryState,
 
 def _interrogate(state: MemoryState, wave: Plan, g1: float, g3: float,
                  noise_sigma: float, rng) -> tuple[float, MemoryState]:
-    """Measure one interference pattern at 240 positions over one period,
-    then undo the one-wave plan's scattering (up to global phase); returns
-    the estimate and the restored state."""
-    (k,) = wave.k
-    period = math.pi / k
-    xs = 0.1 * period + np.linspace(0.0, period, _N_POSITIONS,
-                                    endpoint=False)
-    values, scattered = _pattern(state, wave, g1, g3, xs)
+    """Measure a quarter-turn wave's pattern at x_j = (0.1 + j/240) pi/k,
+    one period, where 1, cos and sin are orthogonal: its projection on the
+    fixed sines is the least-squares sine coefficient.  Then scatter the
+    same wave again, U^2 = -I, and drop the sign: the state is restored
+    exactly.  Returns the estimate and the restored state."""
+    sine = _phase_sine(estimator_phase(wave, g1, g3))
+    alpha, beta = _pair(wave, g1, g3)
+    values, scattered = _pattern(state, alpha, beta, _PHASES)
     if noise_sigma > 0.0:
         values = values + rng.normal(0.0, noise_sigma, size=values.shape)
-    theta = op_angle(wave, g1, g3)
-    restore = _axis_plan([(-theta, *wave.parity)], g1, g3)
-    return _fit(xs, values, k, -theta), apply_plan(scattered, restore, g1, g3)
+    return (-float(np.sum(values * _SINES)) / (2.0 * sine),
+            _scatter(-alpha, -beta, scattered))
 
 
 # A quarter turn exp(-i sigma_3 pi/4), made of odd waves: after it,
@@ -418,16 +417,16 @@ def read_protocol(state: MemoryState, s: MemoryState, g1: float, g3: float,
 
     An odd wave at k = 2/|g3| and an even wave at k = |g1|/2 (both at a
     quarter-turn phase, the best-conditioned choice) yield A1 = <sigma_3>
-    and A2 = <sigma_1> from their interference patterns (240 positions over
-    one period); each interrogation scatters the memory and is undone
-    before the next step.  A3 is the interference with the standard state
-    s.  A quarter turn about sigma_3, then a third (even) interrogation,
-    yields Ay = <sigma_2>; the turn is undone last.  The fitted Bloch
-    vector must have unit length within max(1e-6, 50 noise_sigma), or the
-    read raises Inconsistent; it is scaled to unit length and mapped to a
-    state by reconstruct_state.  Returns (observables, reconstructed state,
-    final memory state); the final state equals the input up to global
-    phase.
+    and A2 = <sigma_1>: each pattern's 240 samples over one period are
+    projected on one fixed sine table, and the same wave scattered again
+    undoes the interrogation, since a quarter turn squares to -I.  A3 is
+    the interference with the standard state s.  A quarter turn about
+    sigma_3, then a third (even) interrogation, yields Ay = <sigma_2>; the
+    turn is undone last.  The Bloch vector must have unit length within
+    max(1e-6, 50 noise_sigma), or the read raises Inconsistent; it is
+    scaled to unit length and mapped to a state by reconstruct_state.
+    Returns (observables, reconstructed state, final memory state); the
+    final state equals the input up to global phase.
     """
     if g1 == 0.0 or g3 == 0.0:
         raise ZeroCoupling("the protocol needs both couplings nonzero")

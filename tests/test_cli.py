@@ -528,19 +528,25 @@ class TestMemory:
                         reason="needs an x86_64 DYNAMIC_ARCH OpenBLAS")
     def test_script_bytes_do_not_depend_on_blas_kernel(self, tmp_path):
         # Writes, resets and scatterings are computed on Python complex
-        # numbers, so a kernel without FMA (Prescott) gives the bytes of
-        # the default one.  A read's fit still goes through lstsq.
+        # numbers, and a read's fit is an elementwise product with a
+        # fixed sine table summed by numpy, so a kernel without FMA
+        # (Prescott) and an AVX2 one (Haswell) give the default bytes,
+        # noisy reads included.
         cfg = write_config(tmp_path, {
             "schema": 1, "g1": 1.7, "g3": -2.3,
             "script": [
                 {"op": "write", "target": [[0.6, 0.0], [0.0, -0.8]]},
+                {"op": "read"},
                 {"op": "scatter", "parity": "even", "k": 0.9},
                 {"op": "scatter", "parity": "odd", "k": 1.6},
                 {"op": "write", "target": [[0.48, -0.36], [0.64, 0.48]]},
+                {"op": "read", "noise_sigma": 1e-4},
                 {"op": "reset"},
             ]})
-        argv = ["memory", "--config", cfg]
-        assert run_child(argv, "Prescott") == run_child(argv)
+        argv = ["memory", "--config", cfg, "--seed", "3"]
+        default = run_child(argv)
+        for coretype in ("Prescott", "Haswell"):
+            assert run_child(argv, coretype) == default, coretype
 
     def test_seed_belongs_to_memory_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,

@@ -300,6 +300,46 @@ def assert_array_call_equals_points(fn, kappa):
     assert_same_bits(quad.as_array(), np.stack(quads, axis=-1))
 
 
+class _Float(float):
+    """A float that is not a Python float, so it takes the numpy check."""
+
+
+def outcome(fn, value):
+    """(type, value) of fn(value), or (exception type, message)."""
+    try:
+        out = fn(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(out), out
+
+
+_atoms = (st.floats() | st.floats().map(np.float64)
+          | st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                             1.8e308, -math.inf, math.nan])
+          | st.integers(-3, 3) | st.just(10 ** 400) | st.none()
+          | st.sampled_from(["1.5", "-2", "nan", "k"]))
+
+
+class TestSpectralPoints:
+    @settings(max_examples=500, deadline=None)
+    @given(_atoms | st.lists(_atoms, max_size=5).map(tuple))
+    def test_python_check_matches_numpy_check(self, points):
+        # A float subclass and a list are not checked in Python, so they
+        # give what the numpy check gives for the same value.
+        numpy_form = (list(points) if type(points) is tuple
+                      else _Float(points) if type(points) is float
+                      else points)
+        (kind, got), (ref_kind, ref) = (
+            outcome(pointcore.spectral_points, points),
+            outcome(pointcore.spectral_points, numpy_form))
+        assert kind is ref_kind
+        if isinstance(ref, np.ndarray):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+        else:
+            assert got == ref
+
+
 class TestGridKernels:
     @settings(max_examples=300, deadline=None)
     @given(couplings(), _points)

@@ -137,6 +137,22 @@ class TestScattering:
                                    atol=1e-15)
 
 
+class TestMemoryState:
+    def test_from_vec_accepts_a_column(self):
+        state = qm.MemoryState.from_vec([[0.6], [0.8j]])
+        assert (state.a1, state.a2) == (0.6, 0.8j)
+
+    @pytest.mark.parametrize("vec", [[0.6, 0.8, 5.0], [1.0]])
+    def test_from_vec_needs_two_components(self, vec):
+        with pytest.raises(ValueError, match="two components"):
+            qm.MemoryState.from_vec(vec)
+
+    def test_admissibility_rejects_a_third_component(self):
+        with pytest.raises(ValueError, match="two components"):
+            qm.admissibility_check(1.0, 0.0, 1.0, 2.0, 2.0,
+                                   [[0.6, 0.8, 5.0]])
+
+
 class TestPlan:
     @settings(max_examples=300, deadline=None)
     @given(_plans, _coupling, _coupling)
@@ -424,6 +440,60 @@ class TestProtocol:
                                                noise_sigma=sigma, rng=rng)
             worst = max(worst, recovered.distance_up_to_phase(state))
         assert worst <= bound, worst
+
+    def test_projection_matches_lstsq_fit(self):
+        # A read projects its 240 samples on fixed sines; the general
+        # estimator fits the same positions and noise draws by lstsq.
+        rng = np.random.default_rng(2201)
+        xs_of_period = 0.1 + np.arange(240) / 240.0
+        worst = 0.0
+        for case in range(500):
+            g1, g3 = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.1, 10.0, 2)
+            state = random_state(rng)
+            sigma = 1e-4 if case % 2 else 0.0
+            for wave in (qm.Plan(("odd",), (2.0 / abs(g3),)),
+                         qm.Plan(("even",), (abs(g1) / 2.0,))):
+                seed = int(rng.integers(2 ** 32))
+                est, _ = qm._interrogate(state, wave, g1, g3, sigma,
+                                         np.random.default_rng(seed))
+                xs = xs_of_period * math.pi / wave.k[0]
+                values = qm.interference_pattern(state, wave, g1, g3, xs)
+                if sigma:
+                    values = values + np.random.default_rng(seed).normal(
+                        0.0, sigma, size=values.shape)
+                ref = qm.estimate_from_pattern(
+                    zip(xs, values), wave.k[0],
+                    qm.estimator_phase(wave, g1, g3))
+                worst = max(worst, abs(est - ref))
+        assert worst <= 1e-13, worst
+
+    def test_read_scatters_nine_waves_without_lstsq(self, monkeypatch):
+        # Each interrogating wave is undone by itself, so the read's only
+        # plans are its two waves and the quarter turn about sigma_3 and
+        # its undo, and no fit goes through lstsq.
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        plans = []
+        check = qm.Plan.__post_init__
+
+        def counted(plan):
+            plans.append(plan)
+            check(plan)
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        monkeypatch.setattr(qm.Plan, "__post_init__", counted)
+        for g1, g3 in ((1.7, -2.3), (-0.6, 3.1)):
+            plans.clear()
+            _, recovered, final = qm.read_protocol(
+                qm.STANDARD_STATE, qm.STANDARD_STATE, g1, g3)
+            assert recovered.distance_up_to_phase(qm.STANDARD_STATE) < 1e-15
+            assert final.distance_up_to_phase(qm.STANDARD_STATE) < 1e-15
+            # three interrogations of one wave, each scattered twice, and
+            # three waves for the turn and its undo: nine in all
+            assert len(plans) == 4
+            assert [len(p) for p in plans[:2]] == [1, 1]
+            assert sum(map(len, plans[2:])) == 3
 
     def test_needs_both_couplings(self):
         with pytest.raises(ZeroCoupling):
