@@ -9,11 +9,11 @@ stdout or --out.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 
@@ -28,15 +28,27 @@ _SCHEMA = 1
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     if config.get("schema") != _SCHEMA:
         raise ConfigError(f"config schema must be {_SCHEMA}")
     return config
+
+
+def _number(value):
+    """`value`, a JSON number or nested lists of them, as given: true or
+    false anywhere in it raise TypeError, as float() would take them for
+    1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError("true and false are not numbers")
+    if isinstance(value, list):
+        for v in value:
+            _number(v)
+    return value
 
 
 def _grid(config: dict, key: str) -> np.ndarray:
@@ -46,8 +58,9 @@ def _grid(config: dict, key: str) -> np.ndarray:
     spec = config[key]
     if isinstance(spec, dict):
         try:
-            grid = np.linspace(float(spec["start"]), float(spec["stop"]),
-                               int(spec["num"]))
+            grid = np.linspace(float(_number(spec["start"])),
+                               float(_number(spec["stop"])),
+                               int(_number(spec["num"])))
             if grid.size != float(spec["num"]):
                 raise ValueError(f"'num' must be whole, not {spec['num']}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -56,7 +69,7 @@ def _grid(config: dict, key: str) -> np.ndarray:
         try:
             if isinstance(spec, str):
                 raise TypeError("a string is not a list of numbers")
-            grid = np.asarray([float(v) for v in spec])
+            grid = np.asarray([float(_number(v)) for v in spec])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid for '{key}': {exc}") from exc
     if grid.size == 0:
@@ -69,7 +82,8 @@ def _grid(config: dict, key: str) -> np.ndarray:
 def _couplings(config: dict) -> tuple[float, float, float]:
     g = config.get("couplings")
     if (isinstance(g, (list, tuple)) and len(g) == 3
-            and all(isinstance(v, (int, float)) for v in g)):
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in g)):
         try:
             g = tuple(float(v) for v in g)
         except OverflowError:       # an int too large for a float
@@ -80,15 +94,11 @@ def _couplings(config: dict) -> tuple[float, float, float]:
     raise ConfigError("'couplings' must be three finite numbers")
 
 
-def _cnum(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _parse_cnum(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(float(_number(value[0])), float(_number(value[1])))
     raise ConfigError(f"{what} must be a number or an [re, im] pair")
 
 
@@ -130,12 +140,12 @@ def _site_array(config: dict) -> channels.SiteArray:
     positions, sites = [], []
     for i, entry in enumerate(raw):
         try:
-            positions.append(float(entry["position"]))
+            positions.append(float(_number(entry["position"])))
             if "c1" not in entry:
-                sites.append([[[float(entry.get(g, 0.0))]]
+                sites.append([[[float(_number(entry.get(g, 0.0)))]]
                               for g in ("g1", "g2", "g3")])
                 continue
-            site = [np.array(entry[c], dtype=complex)
+            site = [np.array(_number(entry[c]), dtype=complex)
                     for c in ("c1", "c2", "c3")]
             for c, m in zip(("c1", "c2", "c3"), site):
                 if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -156,7 +166,7 @@ def _site_array(config: dict) -> channels.SiteArray:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_scatter(config: dict) -> list[dict]:
+def cmd_scatter(config: dict) -> dict:
     sites = _site_array(config)
     mode = config.get("mode", "left")
     amps = config.get("amplitudes")
@@ -175,18 +185,11 @@ def cmd_scatter(config: dict) -> list[dict]:
         raise ConfigError(str(exc)) from exc
     s, singular = channels.full_s_matrix_grid(sites, k_grid)
     sol = channels.ScatteringSolution.from_s_matrix(s, wave)
-    names = ("outgoing_left", "outgoing_right", "reflection", "transmission",
-             "flux_residual")
-    solution = zip(*(np.stack([v.real, v.imag], axis=-1).tolist()
-                     if np.iscomplexobj(v) else v.tolist()
-                     for v in (getattr(sol, name) for name in names)))
-    rows = []
-    for k, flagged, values in zip(k_grid.tolist(), singular.tolist(),
-                                  solution):
-        rows.append({"k": k, "mode": mode, "singular": flagged})
-        if not flagged:     # a singular row has no solution
-            rows[-1].update(zip(names, values))
-    return rows
+    solved = ~singular      # a singular row has no solution
+    return {"k": k_grid, "mode": [mode] * k_grid.size, "singular": singular,
+            **{name: (getattr(sol, name), solved) for name in (
+                "outgoing_left", "outgoing_right", "reflection",
+                "transmission", "flux_residual")}}
 
 
 def _parse_state(value, what: str) -> qmemory.MemoryState:
@@ -195,14 +198,48 @@ def _parse_state(value, what: str) -> qmemory.MemoryState:
     try:
         return qmemory.MemoryState(_parse_cnum(value[0], what),
                                    _parse_cnum(value[1], what))
-    except (ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def cmd_memory(config: dict, seed: int | None) -> list[dict]:
+# The keys of a memory log row between its op and its state, in order
+_LOG_KEYS = {"write": ("plan", "write_error"), "reset": ("plan", "reset_error"),
+             "read": ("observables", "recovered_state", "recovery_error",
+                      "restoration_error"), "scatter": ()}
+_OBSERVABLES = json.dumps(dict.fromkeys(("A1", "A2", "A3", "Ay"), 0.0))
+
+
+@functools.cache
+def _plan_shape(parity: tuple) -> str:
+    """The JSON value a plan's wavenumbers fill."""
+    return json.dumps([{"k": 0.0, "parity": p} for p in parity])
+
+
+def _log_column(key: str, entries: dict, n: int) -> tuple:
+    """The writer's column of a memory log key from {step: value}: steps
+    without an entry lack the key; plans are their wavenumbers, padded
+    with zeros to the longest plan's."""
+    values = list(entries.values())
+    shapes = [None] * n
+    shape = _OBSERVABLES if key == "observables" else True
+    if key == "plan":
+        width = max(map(len, values))
+        for step, plan in entries.items():
+            shapes[step] = _plan_shape(plan.parity)
+        values = [plan.k + (0.0,) * (width - len(plan)) for plan in values]
+    else:
+        for step in entries:
+            shapes[step] = shape
+    dense = np.array(values)
+    column = np.zeros((n, *dense.shape[1:]), dtype=dense.dtype)
+    column[list(entries)] = dense
+    return column, shapes
+
+
+def cmd_memory(config: dict, seed: int | None) -> dict:
     try:
-        g1 = float(config["g1"])
-        g3 = float(config["g3"])
+        g1 = float(_number(config["g1"]))
+        g3 = float(_number(config["g3"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config needs numeric 'g1' and 'g3': "
                           f"{exc}") from exc
@@ -218,24 +255,23 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
         standard = _parse_state(config["standard_state"], "standard_state")
     state = standard
     rng = np.random.default_rng(seed)
-    log = []
+    ops, states = [], []
+    log = {key: {} for keys in _LOG_KEYS.values() for key in keys}
     for idx, cmd in enumerate(script):
         if not isinstance(cmd, dict) or "op" not in cmd:
             raise ConfigError(f"script entry {idx} needs an 'op' field")
         op = cmd["op"]
-        event = {"step": idx, "op": op}
         if op in ("write", "reset"):
             target = (standard if op == "reset" else
                       _parse_state(cmd.get("target"), "write target"))
             plan = (qmemory.write if op == "write" else qmemory.reset)(
                 state, target, g1, g3)
             state = qmemory.apply_plan(state, plan, g1, g3)
-            event["plan"] = [{"parity": p, "k": k}
-                             for p, k in zip(plan.parity, plan.k)]
-            event[op + "_error"] = state.distance_up_to_phase(target)
+            log["plan"][idx] = plan
+            log[op + "_error"][idx] = state.distance_up_to_phase(target)
         elif op == "read":
             try:
-                sigma = float(cmd.get("noise_sigma", 0.0))
+                sigma = float(_number(cmd.get("noise_sigma", 0.0)))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"script entry {idx}: {exc}") from exc
             if not 0.0 <= sigma < float("inf"):
@@ -244,24 +280,28 @@ def cmd_memory(config: dict, seed: int | None) -> list[dict]:
             before = state
             obs, recovered, state = qmemory.read_protocol(
                 state, standard, g1, g3, noise_sigma=sigma, rng=rng)
-            event.update(
-                observables={"A1": obs.A1, "A2": obs.A2, "Ay": obs.Ay,
-                             "A3": obs.A3},
-                recovered_state=[_cnum(recovered.a1), _cnum(recovered.a2)],
-                recovery_error=recovered.distance_up_to_phase(before),
-                restoration_error=state.distance_up_to_phase(before))
+            log["observables"][idx] = obs.A1, obs.A2, obs.A3, obs.Ay
+            log["recovered_state"][idx] = recovered.a1, recovered.a2
+            log["recovery_error"][idx] = recovered.distance_up_to_phase(before)
+            log["restoration_error"][idx] = state.distance_up_to_phase(before)
         elif op == "scatter":
             try:
                 wave = qmemory.Plan((cmd.get("parity"),),
-                                    (float(cmd.get("k")),))
+                                    (float(_number(cmd.get("k"))),))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"script entry {idx}: {exc}") from exc
             state = qmemory.apply_plan(state, wave, g1, g3)
         else:
             raise ConfigError(f"script entry {idx}: unknown op {op!r}")
-        event["state"] = [_cnum(state.a1), _cnum(state.a2)]
-        log.append(event)
-    return log
+        ops.append(op)
+        states.append((state.a1, state.a2))
+    # keys in order of first appearance, as csv lists them
+    columns = {"step": list(range(len(ops))), "op": ops} if ops else {}
+    for key in dict.fromkeys(key for op in dict.fromkeys(ops)
+                             for key in _LOG_KEYS[op] + ("state",)):
+        columns[key] = (np.array(states, dtype=complex) if key == "state"
+                        else _log_column(key, log[key], len(ops)))
+    return columns
 
 
 def cmd_verify(config: dict) -> tuple[list[dict], bool]:
@@ -299,7 +339,7 @@ def _float_cells(col: np.ndarray, fmt: str) -> list[str]:
     distinct, where = np.unique(np.ascontiguousarray(col).view(np.int64),
                                 return_inverse=True)
     floats = distinct.view(float)
-    text = np.array(repr(floats.tolist())[1:-1].split(", ") if fmt == "json"
+    text = np.array(list(map(repr, floats.tolist())) if fmt == "json"
                     else ["%.17g" % v for v in floats.tolist()], dtype=object)
     text[np.isnan(floats)] = "null" if fmt == "json" else ""
     return text[where.ravel()].tolist()
@@ -307,9 +347,13 @@ def _float_cells(col: np.ndarray, fmt: str) -> list[str]:
 
 def _json_items(values: list, fmt: str) -> list[str]:
     """json's text of each of `values`: compact for csv, and for json
-    indented as a row's value, at depth 2.  One indented encode of the
-    list, indented once more, parts at a comma, a line break and exactly
-    four spaces: json escapes line breaks inside strings."""
+    indented as a row's value, at depth 2.  Numbers, strings, booleans
+    and null take one encode by json's C encoder, parted at its item
+    separator, a line break, which json escapes inside strings.  A list
+    holding a container takes one indented encode, indented once more,
+    parted at a comma, a line break and exactly four spaces."""
+    if not any(isinstance(v, (list, tuple, dict)) for v in values):
+        return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
     text = json.dumps(values, sort_keys=True, indent=2, separators=(
         ",", ":" if fmt == "csv" else ": "))
     items = re.split(r",\n    (?! )", text.replace("\n", "\n  ")[6:-4])
@@ -318,79 +362,175 @@ def _json_items(values: list, fmt: str) -> list[str]:
 
 
 @functools.cache
-def _template(shape: tuple, fmt: str) -> str:
-    """json's text of a value with trailing axes `shape`, %s at a leaf."""
-    return _json_items([np.zeros(shape).tolist()], fmt)[0].replace("0.0", "%s")
+def _nested(shape: tuple) -> str:
+    """The JSON text of a value nested as trailing axes `shape`."""
+    return json.dumps(np.zeros(shape).tolist())
+
+
+@functools.cache
+def _template(skeleton: str, fmt: str) -> tuple[str, int]:
+    """The text json writes for the JSON value `skeleton` as a row's
+    value, compact for csv and indented at depth 2 for json, keys sorted,
+    with %s at each float, and the number of floats."""
+    newline, colon = ("\n", ": ") if fmt == "json" else ("", ":")
+
+    def text(value, pad: str) -> str:
+        if isinstance(value, float):
+            return "%s"
+        if not value or not isinstance(value, (list, dict)):
+            return json.dumps(value).replace("%", "%%")
+        inner = pad + "  " if newline else ""
+        items = ([json.dumps(k).replace("%", "%%") + colon + text(v, inner)
+                  for k, v in sorted(value.items())]
+                 if isinstance(value, dict) else [text(v, inner) for v in value])
+        ends = "{}" if isinstance(value, dict) else "[]"
+        return (ends[0] + newline + inner + ("," + newline + inner).join(items)
+                + newline + pad + ends[1])
+
+    out = text(json.loads(skeleton), "    " if newline else "")
+    return out, out.replace("%%", "").count("%s")
 
 
 def _table_text(columns: dict | list, fmt: str) -> str:
     """Rows, or columns keyed in row order, as JSON (row objects, keys
-    sorted, indented by two) or CSV (a header of the keys in order).  A
-    column is a numpy array of floats (NaN is null), bools or complex
-    [re, im] pairs, trailing axes nested; or a list of JSON values,
-    _ABSENT where a row lacks the key.  Every row holds a key.  Each
-    column is formatted once, and each run of rows with the same keys is
-    filled from one % template; a large table of arrays is written in
-    byte blocks, to the same bytes."""
+    sorted, indented by two) or CSV (a header of the keys in order).
+
+    A column is a list of JSON values, _ABSENT where a row lacks the key;
+    a numpy array of floats (NaN is null), bools or complex [re, im]
+    pairs, trailing axes nested; or a pair (array, shapes) with one shape
+    per row: None or False where the row lacks the key, True where its
+    value nests as the array's trailing axes, or the JSON text of a list
+    or object whose floats take the row's first values on the array's
+    one trailing axis, in the order json writes them, keys sorted.  A
+    column that no row holds is no key.  The floats of a table are
+    formatted in one pass, and each row is filled from the % template of
+    its keys and value shapes; a large table of plain arrays is written
+    in byte blocks, to the same bytes."""
     if isinstance(columns, list):       # rows
         keys = dict.fromkeys(key for row in columns for key in row)
         columns = {key: [row.get(key, _ABSENT) for row in columns]
                    for key in keys}
     keys = sorted(columns) if fmt == "json" else list(columns)
-    n = len(columns[keys[0]]) if keys else 0
+    first = columns[keys[0]] if keys else []
+    n = len(first[0] if isinstance(first, tuple) else first)
     # csv writes null, floats and strings as they are, and json the rest
     own = (float, str, type(None)) if fmt == "csv" else ()
-    formatted = {}   # equal columns (S++ and S--, f2 and f4) share cells
-    # NUL pads a bulk cell, so no key may hold one
-    bulk = n >= _BULK_ROWS and "\0" not in "".join(map(str, keys)) and all(
-        isinstance(col, np.ndarray) for col in columns.values())
-    fields, cells, present = [], [], []
+    # per key: {shape: (field, float count)}, the shape of each row (None:
+    # every row the first; a row's None: no key), and its cells or floats
+    fields, shape_of, leaves = {}, {}, {}
     for key in keys:
-        col, template, have = columns[key], "%s", None
-        if isinstance(col, np.ndarray):
-            if np.iscomplexobj(col):    # a view: [re, im] on a last axis
-                col = col[..., None].view(float)
-            leaf_fmt = fmt if col.ndim == 1 else "json"   # nested: json
-            leaves = []
-            for leaf in (col.reshape(n, -1).T if col.ndim > 1 else [col]):
-                memo = (leaf.dtype.str, leaf.tobytes(), leaf_fmt)
-                if memo not in formatted:
-                    formatted[memo] = ((leaf, leaf_fmt) if bulk else
-                                       _float_cells(leaf, leaf_fmt))
-                leaves.append(formatted[memo])
-            template = _template(col.shape[1:], fmt)
-        else:
+        col = columns[key]
+        if isinstance(col, list):
             texts = iter(_json_items([v for v in col if v is not _ABSENT
                                       and not isinstance(v, own)], fmt))
-            if fmt == "json":
-                leaves = [[None if v is _ABSENT else next(texts) for v in col]]
-                have = [v is not _ABSENT for v in col]
-            else:   # a csv row has every field, empty where it is absent
-                leaves = [["" if v is None or v is _ABSENT
-                           else "%.17g" % v if isinstance(v, float)
-                           else _csv_field(v) if isinstance(v, str)
-                           else _csv_field(next(texts)) for v in col]]
-        fields.append(_csv_field(template) if fmt == "csv" else
-                      json.dumps(key).replace("%", "%%") + ": " + template)
-        cells.append(leaves)
-        present.append(have)
-    rows, start = [], 0
-    lists = [have for have in present if have is not None]
-    for size in ([len(list(run)) for _, run in itertools.groupby(
-            zip(*lists))] if lists else [n]):
-        keep = [i for i, have in enumerate(present)
-                if have is None or have[start]]
-        row = (",".join(fields[i] for i in keep) if fmt == "csv" else
-               "  {\n    " + ",\n    ".join(fields[i] for i in keep) + "\n  }")
-        slots = [c if size == n else c[start:start + size]
-                 for i in keep for c in cells[i]]
-        if bulk:    # one run, every key; the kernel loads on first use
-            from . import bulktext
-            rows += bulktext.bulk_rows(row, slots, fmt, n, _float_cells)
-        else:       # a row of only empty arrays has no slot
-            rows += ([row % values for values in zip(*slots)] if slots
-                     else [row % ()] * size)
-        start += size
+            nested = "%s"
+            per_row = [None if v is _ABSENT else "%s" for v in col]
+            leaves[key] = [
+                None if v is _ABSENT else next(texts) if fmt == "json"
+                else "" if v is None else "%.17g" % v if isinstance(v, float)
+                else _csv_field(v) if isinstance(v, str)
+                else _csv_field(next(texts)) for v in col]
+        else:
+            values, per_row = col if isinstance(col, tuple) else (col, None)
+            if values.dtype.kind == "c":    # a view: [re, im] on a last axis
+                values = values[..., None].view(float)
+            nested = _nested(values.shape[1:])
+            if isinstance(per_row, np.ndarray):
+                per_row = per_row.tolist()
+            if per_row is not None:
+                per_row = [nested if r is True else r or None for r in per_row]
+            leaves[key] = (values.reshape(n, -1),
+                           fmt if values.ndim == 1 else "json")  # nested: json
+        shapes = dict.fromkeys(per_row or [nested])
+        shapes.pop(None, None)
+        if not shapes:
+            continue
+        name = "" if fmt == "csv" else json.dumps(key).replace("%", "%%")
+        for shape in shapes:
+            text, count = (("%s", 1) if isinstance(col, list) else
+                           _template(shape, fmt))
+            shapes[shape] = (_csv_field(text) if fmt == "csv" else
+                             name + ": " + text), count
+        fields[key] = shapes
+        shape_of[key] = (None if per_row is None
+                         or per_row.count(next(iter(shapes))) == n
+                         else per_row)
+    keys = list(fields)
+    widths = [1 if isinstance(leaves[key], list) else leaves[key][0].shape[1]
+              for key in keys]
+    starts = dict(zip(keys, itertools.accumulate([0] + widths)))
+
+    def row_of(pattern) -> tuple[str, list]:
+        """The % template of a row of these shapes and the cells it takes."""
+        parts, taken = [], []
+        for key, shape in zip(keys, pattern):
+            if shape is not None:
+                field, count = fields[key][shape]
+                parts.append(field)
+                taken += range(starts[key], starts[key] + count)
+            elif fmt == "csv":
+                parts.append("")
+        return (",".join(parts) if fmt == "csv" else
+                "  {\n    " + ",\n    ".join(parts) + "\n  }" if parts
+                else "  {}"), taken
+
+    one = all(shape_of[key] is None for key in keys)    # one shape per key
+    first_shapes = [next(iter(fields[key])) for key in keys]
+    if one and n >= _BULK_ROWS and "\0" not in "".join(map(str, keys)) and all(
+            isinstance(columns[key], np.ndarray) for key in keys):
+        # NUL pads a bulk cell, so no key may hold one; the kernel loads
+        # on first use, and equal leaves (S++ and S--) share their cells
+        from . import bulktext
+        memo = {}
+        slots = [memo.setdefault((leaf.dtype.str, leaf.tobytes(), leaf_fmt),
+                                 (leaf, leaf_fmt))
+                 for key in keys for flat, leaf_fmt in [leaves[key]]
+                 for leaf in flat.T]
+        rows = bulktext.bulk_rows(row_of(first_shapes)[0], slots, fmt, n,
+                                  _float_cells)
+    else:
+        # every cell of the table in one matrix; the floats of each format
+        # in one pass, in row order
+        cells = np.empty((n, sum(widths)), dtype=object)
+        passes = {}
+        for key, width in zip(keys, widths):
+            at = slice(starts[key], starts[key] + width)
+            if isinstance(leaves[key], list):
+                cells[:, at.start] = leaves[key]
+                continue
+            flat, leaf_fmt = leaves[key]
+            if (leaf_fmt, flat.dtype) not in passes:
+                passes[leaf_fmt, flat.dtype] = (
+                    np.zeros(cells.shape, flat.dtype),
+                    np.zeros(cells.shape, bool))
+            values, used = passes[leaf_fmt, flat.dtype]
+            values[:, at] = flat
+            if shape_of[key] is None:
+                used[:, at] = True
+            else:   # a row's first floats, as many as its shape takes
+                counts = {shape: count for shape, (_, count)
+                          in fields[key].items()}
+                counts[None] = 0
+                used[:, at] = np.arange(width) < np.array(
+                    list(map(counts.__getitem__, shape_of[key])))[:, None]
+        for (leaf_fmt, _), (values, used) in passes.items():
+            cells[used] = _float_cells(values[used], leaf_fmt)
+        if one:
+            row = row_of(first_shapes)[0]
+            rows = [row % tuple(values) for values in cells.tolist()]
+        else:
+            rows, filled = [], {}
+            for pattern, values in zip(zip(*(
+                    shape_of[key] or itertools.repeat(shape, n)
+                    for key, shape in zip(keys, first_shapes))),
+                    cells.tolist()):
+                if pattern not in filled:
+                    row, taken = row_of(pattern)
+                    # one taken cell is bare, which % takes as well
+                    filled[pattern] = row, (operator.itemgetter(*taken)
+                                            if taken else lambda v: ())
+                row, pick = filled[pattern]
+                rows.append(row % pick(values))
     if fmt == "json":
         return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
     text = "\n".join([",".join(map(_csv_field, keys))] + rows)
@@ -445,9 +585,17 @@ def main(argv=None) -> int:
         # OverflowError: x ** 2 of a float above about 1.3e154
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    with (open(args.out, "w") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        fh.write(_table_text(table, args.format))
+    text = _table_text(table, args.format)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0 if passed else 1
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"config error: cannot write output {args.out}: {exc}",
+              file=sys.stderr)
+        return 2
     return 0 if passed else 1
 
 

@@ -104,6 +104,43 @@ JSON_VALUES = st.recursive(
     | st.floats(allow_nan=False, allow_infinity=False) | TEXT,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(TEXT, inner, max_size=3), max_leaves=8)
+# Row shapes of a numpy column: lists and objects whose floats take a
+# row's values; strings, numbers and the rest are literal
+SHAPES = st.recursive(
+    st.just(0.0) | st.none() | st.booleans() | st.integers(-9, 9) | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3), max_leaves=6).filter(
+    lambda shape: isinstance(shape, (list, dict)))
+
+
+def count_floats(shape) -> int:
+    if isinstance(shape, float):
+        return 1
+    if isinstance(shape, (list, dict)):
+        return sum(map(count_floats, shape.values() if isinstance(
+            shape, dict) else shape))
+    return 0
+
+
+def fill_floats(shape, values):
+    """`shape` with its floats replaced by the next of `values`, in the
+    order json writes them, keys sorted."""
+    if isinstance(shape, float):
+        return next(values)
+    if isinstance(shape, list):
+        return [fill_floats(v, values) for v in shape]
+    if isinstance(shape, dict):
+        return {k: fill_floats(shape[k], values) for k in sorted(shape)}
+    return shape
+
+
+def plain(a) -> list:
+    """The rows of a numpy column as JSON values: NaN as None, complex
+    numbers as [re, im] pairs."""
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+    return [None if isinstance(v, float) and math.isnan(v) else v
+            for v in a.tolist()] if a.ndim == 1 else [plain(sub) for sub in a]
 
 
 # Configs whose output bytes, in JSON and in CSV, are fixed by files in
@@ -197,11 +234,17 @@ class TestResolvent:
 class TestCouplingInput:
     def test_non_finite_input_is_config_error(self, tmp_path, capsys,
                                               command, key):
-        # 10 ** 400 is a JSON integer too large for a float
-        for g in ([float("nan"), 1.0, 0.0], [0.0, 1.0, float("inf")],
-                  [0.0, 10 ** 400, 0.0]):
-            cfg = write_config(tmp_path, {"schema": 1, "couplings": g,
-                                          key: [1.0]})
+        # 10 ** 400 is a JSON integer too large for a float; true and
+        # false are no numbers, though float() takes them for 1 and 0
+        nan, g = float("nan"), [0.0, 1.0, 0.0]
+        for couplings, grid in (
+                ([nan, 1.0, 0.0], [1.0]), ([0.0, 1.0, float("inf")], [1.0]),
+                ([0.0, 10 ** 400, 0.0], [1.0]), ([True, False, True], [1.0]),
+                (g, [True]), (g, [1.0, False]),
+                (g, {"start": 1.0, "stop": 2.0, "num": True}),
+                (g, {"start": True, "stop": 2.0, "num": 2})):
+            cfg = write_config(tmp_path, {"schema": 1, "couplings": couplings,
+                                          key: grid})
             assert run(capsys, [command, "--config", cfg]) == (2, "")
 
     def test_overflow_is_domain_error(self, tmp_path, capsys, command,
@@ -304,7 +347,14 @@ class TestScatter:
                       {"amplitudes": 5}, {"amplitudes": [["a", "b"]]},
                       # JSON integers too large for a float
                       {"sites": [{"position": 0.0, "g1": 10 ** 400}]},
-                      {"amplitudes": [10 ** 400]}, {"k_grid": [10 ** 400]}):
+                      {"amplitudes": [10 ** 400]}, {"k_grid": [10 ** 400]},
+                      # true and false, which float() takes for 1 and 0
+                      {"sites": [{"position": True, "g1": 2.0}]},
+                      {"sites": [{"position": 0.0, "g1": True}]},
+                      {"sites": [{"position": 0.0, "c1": [[True]],
+                                  "c2": [[0.0]], "c3": [[0.0]]}]},
+                      {"amplitudes": [True]}, {"amplitudes": [[1.0, False]]},
+                      {"k_grid": [True]}):
             cfg = write_config(tmp_path, {
                 "schema": 1, "sites": [{"position": 0.0, "g1": 2.0}],
                 "k_grid": [1.0], "mode": "left", **extra})
@@ -490,7 +540,17 @@ class TestMemory:
                       {"script": [{"op": "write", "target": [10 ** 400, 0]}]},
                       {"script": [{"op": "read", "noise_sigma": 10 ** 400}]},
                       {"script": [{"op": "scatter", "parity": "even",
-                                   "k": 10 ** 400}]}):
+                                   "k": 10 ** 400}]},
+                      # true and false, which float() takes for 1 and 0
+                      {"g1": True}, {"g3": False},
+                      {"standard_state": [[1.0, False], 0.0], "script": []},
+                      {"script": [{"op": "write", "target": [True, 0]}]},
+                      {"script": [{"op": "read", "noise_sigma": True}]},
+                      {"script": [{"op": "scatter", "parity": "even",
+                                   "k": True}]},
+                      # a component that is neither a number nor a pair
+                      {"script": [{"op": "write",
+                                   "target": [[[1.0], 0.0], [0.0, 1.0]]}]}):
             cfg = write_config(tmp_path, {
                 "schema": 1, "g1": 2.0, "g3": 2.0,
                 "script": [{"op": "write", "target": [0.6, 0.8]}], **extra})
@@ -557,6 +617,160 @@ class TestMemory:
         assert exc.value.code == 2
 
 
+def random_script(rng) -> list[dict]:
+    """Each op once in a random order, then up to twelve more: writes of
+    random states, reads with and without noise (the first with), and
+    scatterings of either parity."""
+    ops = list(rng.permutation(["write", "read", "scatter", "reset"]))
+    ops += list(rng.choice(["write", "read", "scatter", "reset"],
+                           size=rng.integers(0, 13)))
+    script, sigma = [], 1e-4
+    for op in ops:
+        if op == "write":
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            script.append({"op": op, "target": [cnum(c) for c in v]})
+        elif op == "read":
+            script.append({"op": op, "noise_sigma": sigma})
+            sigma = float(rng.choice([0.0, 1e-4]))
+        elif op == "scatter":
+            script.append({"op": op, "parity": str(rng.choice(["even", "odd"])),
+                           "k": float(rng.uniform(0.1, 6.0))})
+        else:
+            script.append({"op": op})
+    return script
+
+
+def memory_rows(config, seed) -> list[dict]:
+    """A memory log in the row form the CLI built before it handed the
+    writer columns: one dict per step, from qmemory directly."""
+    def state_of(pairs):
+        return qmemory.MemoryState(*(complex(*c) for c in pairs))
+
+    g1, g3 = config["g1"], config["g3"]
+    standard = (state_of(config["standard_state"])
+                if "standard_state" in config else qmemory.STANDARD_STATE)
+    state, rng, rows = standard, np.random.default_rng(seed), []
+    for step, cmd in enumerate(config["script"]):
+        op = cmd["op"]
+        row = {"step": step, "op": op}
+        if op in ("write", "reset"):
+            target = standard if op == "reset" else state_of(cmd["target"])
+            plan = (qmemory.write if op == "write" else qmemory.reset)(
+                state, target, g1, g3)
+            state = qmemory.apply_plan(state, plan, g1, g3)
+            row["plan"] = [{"parity": p, "k": k}
+                           for p, k in zip(plan.parity, plan.k)]
+            row[op + "_error"] = state.distance_up_to_phase(target)
+        elif op == "read":
+            before = state
+            obs, recovered, state = qmemory.read_protocol(
+                state, standard, g1, g3, noise_sigma=cmd["noise_sigma"],
+                rng=rng)
+            row.update(
+                observables={"A1": obs.A1, "A2": obs.A2, "Ay": obs.Ay,
+                             "A3": obs.A3},
+                recovered_state=[cnum(recovered.a1), cnum(recovered.a2)],
+                recovery_error=recovered.distance_up_to_phase(before),
+                restoration_error=state.distance_up_to_phase(before))
+        else:
+            state = qmemory.apply_plan(
+                state, qmemory.Plan((cmd["parity"],), (cmd["k"],)), g1, g3)
+        row["state"] = [cnum(state.a1), cnum(state.a2)]
+        rows.append(row)
+    return rows
+
+
+def scatter_rows(config) -> list[dict]:
+    """A scatter table in the row form the CLI built before it handed the
+    writer columns: k, mode and the singular flag, and on a regular row
+    the solution, complex numbers as [re, im] pairs."""
+    k = np.array(config["k_grid"])
+    amps = config.get("amplitudes")
+    wave = channels.IncidentWave(k, config["mode"], None if amps is None
+                                 else np.array([complex(*a) for a in amps]))
+    s, singular = channels.full_s_matrix_grid(cli._site_array(config), k)
+    sol = channels.ScatteringSolution.from_s_matrix(s, wave)
+    rows = []
+    for i, flagged in enumerate(singular.tolist()):
+        rows.append({"k": k[i].item(), "mode": config["mode"],
+                     "singular": flagged})
+        if not flagged:
+            for name in ("outgoing_left", "outgoing_right", "reflection",
+                         "transmission", "flux_residual"):
+                v = getattr(sol, name)[i]
+                rows[-1][name] = (np.stack([v.real, v.imag], axis=-1).tolist()
+                                  if np.iscomplexobj(v) else v.tolist())
+    return rows
+
+
+SCATTER_CONFIGS = {
+    # a Dirichlet box on [0, 1]: its modes at k = pi and 2 pi are singular
+    # rows between regular ones
+    "box": {"schema": 1, "mode": "right",
+            "sites": [{"position": 0.0, "g2": 2.0},
+                      {"position": 1.0, "g2": -2.0}],
+            "k_grid": [0.5, math.pi, 4.0, 2 * math.pi, 7.5]},
+    "two_channel": GOLDEN["scatter_two_channel"][1],
+    "two_channel_odd": {**GOLDEN["scatter_two_channel"][1], "mode": "odd",
+                        "k_grid": [0.1, 0.8, 2.5, 6.0]},
+}
+
+
+class TestCommandRows:
+    """memory and scatter hand the writer numpy columns; their bytes are
+    those of the row form they replaced."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_memory_scripts_match_row_form(self, tmp_path, fmt, seed):
+        rng = np.random.default_rng(seed)
+        config = {"schema": 1, "g1": float(rng.uniform(0.5, 4.0)),
+                  "g3": -float(rng.uniform(0.5, 4.0)),
+                  "script": random_script(rng)}
+        if seed % 2:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            config["standard_state"] = [cnum(c) for c in v / np.linalg.norm(v)]
+        out = tmp_path / "out"
+        assert main(["memory", "--config", write_config(tmp_path, config),
+                     "--seed", str(seed), "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert out.read_text() == reference_text(memory_rows(config, seed),
+                                                 fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", sorted(SCATTER_CONFIGS))
+    def test_scatter_rows_match_row_form(self, tmp_path, fmt, name):
+        config = SCATTER_CONFIGS[name]
+        rows = scatter_rows(config)
+        if name == "box":
+            assert [row["singular"] for row in rows] == [False, True, False,
+                                                         True, False]
+        out = tmp_path / "out"
+        assert main(["scatter", "--config", write_config(tmp_path, config),
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == reference_text(rows, fmt)
+
+    def test_commands_skip_the_pure_python_encoder(self, tmp_path,
+                                                   monkeypatch):
+        # json's indented encoder runs in pure Python, value by value;
+        # memory and scatter tables never reach it, templates included
+        for cache in (cli._nested, cli._template, cli._plan_shape):
+            cache.cache_clear()
+        monkeypatch.setattr(json.encoder, "_make_iterencode", mock.Mock(
+            side_effect=AssertionError("the pure-Python encoder ran")))
+        with pytest.raises(AssertionError):     # the patch is in force
+            cli._table_text([{"plan": [1.0]}], "json")
+        memory = {"schema": 1, "g1": 1.7, "g3": -2.3,
+                  "script": random_script(np.random.default_rng(7))}
+        for command, config in [("memory", memory)] + [
+                ("scatter", c) for c in SCATTER_CONFIGS.values()]:
+            for fmt in ("json", "csv"):
+                assert main([command, "--config",
+                             write_config(tmp_path, config), "--format", fmt,
+                             "--out", str(tmp_path / "out")]) == 0
+
+
 class TestVerify:
     def test_quick_suite_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -598,39 +812,64 @@ class TestOutput:
     def test_row_tables_match_reference(self, rows, fmt):
         assert cli._table_text(rows, fmt) == reference_text(rows, fmt)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5),
            fmt=st.sampled_from(["json", "csv"]), bulk=st.booleans())
     def test_array_tables_match_reference(self, data, n, fmt, bulk):
         # numpy columns: NaN is null at the top level and inside nested
-        # values, and a complex number is an [re, im] pair; written by
-        # the % fill or, as large tables are, in byte blocks
-        columns = {}
+        # values, and a complex number is an [re, im] pair.  A column may
+        # skip rows by a present mask (every row, none or some), or give
+        # each row a JSON shape its floats fill, beside list columns of
+        # JSON values; written by the % fill or, as large tables of plain
+        # arrays are, in byte blocks
+        columns, cells = {}, {}     # each row's value, or _ABSENT
         for key in data.draw(st.lists(KEYS, min_size=1, max_size=4,
                                       unique=True)):
-            shape = (n,) + tuple(data.draw(st.lists(
-                st.integers(0, 3), max_size=2)))
-            kind = data.draw(st.sampled_from(["float", "complex", "bool"]))
+            kind = data.draw(st.sampled_from(
+                ["float", "complex", "bool", "shaped", "list"]))
+            if kind == "list":
+                columns[key] = cells[key] = data.draw(st.lists(
+                    JSON_VALUES | st.just(cli._ABSENT), min_size=n,
+                    max_size=n))
+                continue
+            if kind == "shaped":
+                shapes = data.draw(st.lists(st.none() | SHAPES, min_size=n,
+                                            max_size=n))
+                shape = (n, max([count_floats(s) for s in shapes
+                                 if s is not None], default=0))
+            else:
+                shape = (n,) + tuple(data.draw(st.lists(
+                    st.integers(0, 3), max_size=2)))
             values = np.array(data.draw(st.lists(
                 st.floats(allow_infinity=False, width=64),
                 min_size=2 * math.prod(shape),
                 max_size=2 * math.prod(shape))))
-            if kind == "float":
-                columns[key] = values[::2].reshape(shape)
-            elif kind == "complex":
-                columns[key] = (values[::2] + 1j * values[1::2]).reshape(shape)
+            array = (values[::2] + 1j * values[1::2] if kind == "complex"
+                     else values[::2] > 0 if kind == "bool"
+                     else values[::2]).reshape(shape)
+            rows = plain(array)
+            if kind == "shaped":
+                columns[key] = array, [s if s is None else json.dumps(s)
+                                       for s in shapes]
+                cells[key] = [cli._ABSENT if s is None else
+                              fill_floats(s, iter(row))
+                              for s, row in zip(shapes, rows)]
+                continue
+            present = data.draw(st.sampled_from(
+                [None, [True] * n, [False] * n]) | st.lists(
+                st.booleans(), min_size=n, max_size=n))
+            if present is None:
+                columns[key], cells[key] = array, rows
             else:
-                columns[key] = (values[::2] > 0).reshape(shape)
-
-        def plain(a):
-            if a.dtype.kind == "c":
-                a = np.stack([a.real, a.imag], axis=-1)
-            return [None if isinstance(v, float) and math.isnan(v) else v
-                    for v in a.tolist()] if a.ndim == 1 else [
-                plain(sub) for sub in a]
-
-        rows = [dict(zip(columns, values))
-                for values in zip(*map(plain, columns.values()))]
+                columns[key] = array, np.array(present)
+                cells[key] = [row if p else cli._ABSENT
+                              for row, p in zip(rows, present)]
+        rows = [{key: column[i] for key, column in cells.items()
+                 if column[i] is not cli._ABSENT} for i in range(n)]
+        # csv lists the keys in order of first appearance
+        order = dict.fromkeys([key for row in rows for key in row]
+                              + list(columns))
+        columns = {key: columns[key] for key in order}
         with mock.patch.object(cli, "_BULK_ROWS", 1 if bulk else 10 ** 9):
             assert cli._table_text(columns, fmt) == reference_text(rows, fmt)
 
@@ -724,9 +963,25 @@ class TestOutput:
         assert run_child(argv, "Prescott") == run_child(argv)
 
     def test_missing_config_file(self, tmp_path, capsys):
-        code, _ = run(capsys, ["resolvent", "--config",
-                               str(tmp_path / "nope.json")])
-        assert code == 2
+        # a missing file, and one that is not UTF-8
+        (tmp_path / "latin1.json").write_bytes(b'{"schema": 1, "x": "\xff"}')
+        for name in ("nope.json", "latin1.json"):
+            assert main(["resolvent", "--config",
+                         str(tmp_path / name)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: cannot read config")
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1, "couplings": [1, 0, 0],
+                                      "kappa_grid": [1.0]})
+        out = tmp_path / "no" / "such" / "out.json"
+        assert main(["resolvent", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"config error: cannot write output {out}: ")
+        assert not out.parent.exists()
 
 
 def kernel_text(values, fmt, scalar=cli._float_cells) -> list[str]:
