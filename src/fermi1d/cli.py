@@ -41,10 +41,12 @@ def _load_config(path: str) -> dict:
 
 def _number(value):
     """`value`, a JSON number or nested lists of them, as given: true or
-    false anywhere in it raise TypeError, as float() would take them for
-    1 and 0."""
+    false anywhere in it raise TypeError, and a string ValueError, as
+    float() would take them for 1, 0 or the number they spell."""
     if isinstance(value, bool):
         raise TypeError("true and false are not numbers")
+    if isinstance(value, str):
+        raise ValueError(f"could not convert string to float: {value!r}")
     if isinstance(value, list):
         for v in value:
             _number(v)
@@ -67,9 +69,7 @@ def _grid(config: dict, key: str) -> np.ndarray:
             raise ConfigError(f"bad grid spec for '{key}': {exc}") from exc
     else:
         try:
-            if isinstance(spec, str):
-                raise TypeError("a string is not a list of numbers")
-            grid = np.asarray([float(_number(v)) for v in spec])
+            grid = np.asarray([float(v) for v in _number(spec)])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad grid for '{key}': {exc}") from exc
     if grid.size == 0:
@@ -81,16 +81,13 @@ def _grid(config: dict, key: str) -> np.ndarray:
 
 def _couplings(config: dict) -> tuple[float, float, float]:
     g = config.get("couplings")
-    if (isinstance(g, (list, tuple)) and len(g) == 3
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in g)):
-        try:
-            g = tuple(float(v) for v in g)
-        except OverflowError:       # an int too large for a float
-            pass
-        else:
+    try:
+        if isinstance(g, list) and len(g) == 3:
+            g = tuple(map(float, _number(g)))
             if all(map(math.isfinite, g)):
                 return g
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise ConfigError("'couplings' must be three finite numbers")
 
 
@@ -185,7 +182,7 @@ def cmd_scatter(config: dict) -> dict:
         raise ConfigError(str(exc)) from exc
     s, singular = channels.full_s_matrix_grid(sites, k_grid)
     sol = channels.ScatteringSolution.from_s_matrix(s, wave)
-    solved = ~singular      # a singular row has no solution
+    solved = (~singular).tolist()       # a singular row has no solution
     return {"k": k_grid, "mode": [mode] * k_grid.size, "singular": singular,
             **{name: (getattr(sol, name), solved) for name in (
                 "outgoing_left", "outgoing_right", "reflection",
@@ -304,7 +301,7 @@ def cmd_memory(config: dict, seed: int | None) -> dict:
     return columns
 
 
-def cmd_verify(config: dict) -> tuple[list[dict], bool]:
+def cmd_verify(config: dict) -> tuple[dict, bool]:
     names = config.get("checks")
     if names is not None:
         if not isinstance(names, list):
@@ -316,13 +313,11 @@ def cmd_verify(config: dict) -> tuple[list[dict], bool]:
         if unknown:
             raise ConfigError(f"unknown checks: {unknown}")
     reports = verify.run_suite(names)
-    rows = [{"name": r.name, "max_residual": float(r.max_residual),
-             "tolerance": float(r.tolerance), "grid": r.grid,
-             "passed": bool(r.passed)} for r in reports]
-    return rows, all(r.passed for r in reports)
+    columns = {key: [getattr(r, key) for r in reports] for key in (
+        "name", "max_residual", "tolerance", "grid", "passed")}
+    return columns, all(columns["passed"])
 
 
-_ABSENT = object()      # the cell of a row that lacks its column's key
 _BULK_ROWS = 150    # smaller tables keep repr and the % fill (measured)
 _NEEDS_QUOTES = re.compile(r'[,"\n]').search     # as csv's QUOTE_MINIMAL
 
@@ -343,22 +338,6 @@ def _float_cells(col: np.ndarray, fmt: str) -> list[str]:
                     else ["%.17g" % v for v in floats.tolist()], dtype=object)
     text[np.isnan(floats)] = "null" if fmt == "json" else ""
     return text[where.ravel()].tolist()
-
-
-def _json_items(values: list, fmt: str) -> list[str]:
-    """json's text of each of `values`: compact for csv, and for json
-    indented as a row's value, at depth 2.  Numbers, strings, booleans
-    and null take one encode by json's C encoder, parted at its item
-    separator, a line break, which json escapes inside strings.  A list
-    holding a container takes one indented encode, indented once more,
-    parted at a comma, a line break and exactly four spaces."""
-    if not any(isinstance(v, (list, tuple, dict)) for v in values):
-        return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-    text = json.dumps(values, sort_keys=True, indent=2, separators=(
-        ",", ":" if fmt == "csv" else ": "))
-    items = re.split(r",\n    (?! )", text.replace("\n", "\n  ")[6:-4])
-    return items if fmt == "json" else [re.sub(r"\n *", "", item)
-                                        for item in items]
 
 
 @functools.cache
@@ -391,25 +370,21 @@ def _template(skeleton: str, fmt: str) -> tuple[str, int]:
     return out, out.replace("%%", "").count("%s")
 
 
-def _table_text(columns: dict | list, fmt: str) -> str:
-    """Rows, or columns keyed in row order, as JSON (row objects, keys
-    sorted, indented by two) or CSV (a header of the keys in order).
+def _table_text(columns: dict, fmt: str) -> str:
+    """Columns keyed in row order as JSON (row objects, keys sorted,
+    indented by two) or CSV (a header of the keys in order).
 
-    A column is a list of JSON values, _ABSENT where a row lacks the key;
-    a numpy array of floats (NaN is null), bools or complex [re, im]
-    pairs, trailing axes nested; or a pair (array, shapes) with one shape
-    per row: None or False where the row lacks the key, True where its
-    value nests as the array's trailing axes, or the JSON text of a list
-    or object whose floats take the row's first values on the array's
-    one trailing axis, in the order json writes them, keys sorted.  A
-    column that no row holds is no key.  The floats of a table are
-    formatted in one pass, and each row is filled from the % template of
-    its keys and value shapes; a large table of plain arrays is written
-    in byte blocks, to the same bytes."""
-    if isinstance(columns, list):       # rows
-        keys = dict.fromkeys(key for row in columns for key in row)
-        columns = {key: [row.get(key, _ABSENT) for row in columns]
-                   for key in keys}
+    A column is a list of JSON scalars, one per row; a numpy array of
+    floats (NaN is null), bools or complex [re, im] pairs, trailing axes
+    nested; or a pair (array, shapes) with a list of one shape per row:
+    None or False where the row lacks the key, True where its value nests
+    as the array's trailing axes, or the JSON text of a list or object
+    whose floats take the row's first values on the array's one trailing
+    axis, in the order json writes them, keys sorted.  A column that no
+    row holds is no key.  The floats of a table are formatted in one
+    pass, and each row is filled from the % template of its keys and
+    value shapes; a large table of plain arrays is written in byte
+    blocks, to the same bytes."""
     keys = sorted(columns) if fmt == "json" else list(columns)
     first = columns[keys[0]] if keys else []
     n = len(first[0] if isinstance(first, tuple) else first)
@@ -421,22 +396,20 @@ def _table_text(columns: dict | list, fmt: str) -> str:
     for key in keys:
         col = columns[key]
         if isinstance(col, list):
-            texts = iter(_json_items([v for v in col if v is not _ABSENT
-                                      and not isinstance(v, own)], fmt))
-            nested = "%s"
-            per_row = [None if v is _ABSENT else "%s" for v in col]
+            # json's C encoder writes the rest in one call, parted at its
+            # item separator, a line break, which it escapes in strings
+            texts = iter(json.dumps([v for v in col if not isinstance(v, own)],
+                                    separators=("\n", ":"))[1:-1].split("\n"))
+            nested, per_row = "%s", None
             leaves[key] = [
-                None if v is _ABSENT else next(texts) if fmt == "json"
-                else "" if v is None else "%.17g" % v if isinstance(v, float)
-                else _csv_field(v) if isinstance(v, str)
-                else _csv_field(next(texts)) for v in col]
+                next(texts) if not isinstance(v, own) else "" if v is None
+                else "%.17g" % v if isinstance(v, float) else _csv_field(v)
+                for v in col]
         else:
             values, per_row = col if isinstance(col, tuple) else (col, None)
             if values.dtype.kind == "c":    # a view: [re, im] on a last axis
                 values = values[..., None].view(float)
             nested = _nested(values.shape[1:])
-            if isinstance(per_row, np.ndarray):
-                per_row = per_row.tolist()
             if per_row is not None:
                 per_row = [nested if r is True else r or None for r in per_row]
             leaves[key] = (values.reshape(n, -1),
@@ -539,6 +512,16 @@ def _table_text(columns: dict | list, fmt: str) -> str:
     return text + "\n"
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's generators take."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -557,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"),
                        default="json")
         if name == "memory":
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_seed, default=None,
                            help="seed for randomized protocol noise")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermi1d
-from fermi1d import bulktext, channels, cli, pointcore, qmemory
+from fermi1d import bulktext, channels, cli, pointcore, qmemory, verify
 from fermi1d.cli import main
 from fermi1d.errors import PoleAtSpectralPoint
 
@@ -99,11 +99,10 @@ def reference_text(rows, fmt):
 TEXT = st.text(st.sampled_from('ab ,"[]{}:%\\\n\ré'), max_size=6)
 KEYS = st.sampled_from(["k", "mode", "plan", "a,b", 'say "x"', "x:y",
                         "[z", "{w", "100%", "", "%s", "a%%b"])
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
-    | st.floats(allow_nan=False, allow_infinity=False) | TEXT,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(TEXT, inner, max_size=3), max_leaves=8)
+# One JSON scalar per row of a list column, NaN and the infinities
+# included: verify writes a NaN residual as json and csv do
+SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+           | st.floats() | TEXT)
 # Row shapes of a numpy column: lists and objects whose floats take a
 # row's values; strings, numbers and the rest are literal
 SHAPES = st.recursive(
@@ -234,15 +233,18 @@ class TestResolvent:
 class TestCouplingInput:
     def test_non_finite_input_is_config_error(self, tmp_path, capsys,
                                               command, key):
-        # 10 ** 400 is a JSON integer too large for a float; true and
-        # false are no numbers, though float() takes them for 1 and 0
+        # 10 ** 400 is a JSON integer too large for a float; true, false
+        # and strings are no numbers, though float() takes them for 1, 0
+        # and the number they spell
         nan, g = float("nan"), [0.0, 1.0, 0.0]
         for couplings, grid in (
                 ([nan, 1.0, 0.0], [1.0]), ([0.0, 1.0, float("inf")], [1.0]),
                 ([0.0, 10 ** 400, 0.0], [1.0]), ([True, False, True], [1.0]),
                 (g, [True]), (g, [1.0, False]),
                 (g, {"start": 1.0, "stop": 2.0, "num": True}),
-                (g, {"start": True, "stop": 2.0, "num": 2})):
+                (g, {"start": True, "stop": 2.0, "num": 2}),
+                (g, ["1.5", "2"]), (g, {"start": "1", "stop": 2.0, "num": 2}),
+                (g, {"start": 1.0, "stop": 2.0, "num": "2"})):
             cfg = write_config(tmp_path, {"schema": 1, "couplings": couplings,
                                           key: grid})
             assert run(capsys, [command, "--config", cfg]) == (2, "")
@@ -354,7 +356,13 @@ class TestScatter:
                       {"sites": [{"position": 0.0, "c1": [[True]],
                                   "c2": [[0.0]], "c3": [[0.0]]}]},
                       {"amplitudes": [True]}, {"amplitudes": [[1.0, False]]},
-                      {"k_grid": [True]}):
+                      {"k_grid": [True]},
+                      # strings, which float() parses
+                      {"sites": [{"position": "0", "g1": 2.0}]},
+                      {"sites": [{"position": 0.0, "g1": "2"}]},
+                      {"sites": [{"position": 0.0, "c1": [["1"]],
+                                  "c2": [[0.0]], "c3": [[0.0]]}]},
+                      {"amplitudes": [["1", "0"]]}, {"k_grid": ["1.5"]}):
             cfg = write_config(tmp_path, {
                 "schema": 1, "sites": [{"position": 0.0, "g1": 2.0}],
                 "k_grid": [1.0], "mode": "left", **extra})
@@ -548,6 +556,14 @@ class TestMemory:
                       {"script": [{"op": "read", "noise_sigma": True}]},
                       {"script": [{"op": "scatter", "parity": "even",
                                    "k": True}]},
+                      # strings, which float() parses
+                      {"g1": "2"}, {"g3": "2"},
+                      {"standard_state": [["0.6", 0], [0, 0.8]],
+                       "script": []},
+                      {"script": [{"op": "write", "target": ["0.6", 0.8]}]},
+                      {"script": [{"op": "read", "noise_sigma": "0"}]},
+                      {"script": [{"op": "scatter", "parity": "even",
+                                   "k": "1.5"}]},
                       # a component that is neither a number nor a pair
                       {"script": [{"op": "write",
                                    "target": [[[1.0], 0.0], [0.0, 1.0]]}]}):
@@ -607,6 +623,18 @@ class TestMemory:
         default = run_child(argv)
         for coretype in ("Prescott", "Haswell"):
             assert run_child(argv, coretype) == default, coretype
+
+    def test_negative_seed_is_argument_error(self, tmp_path, capsys):
+        # also for a script without a noisy read, where no seed is drawn
+        for script in ([{"op": "read", "noise_sigma": 1e-4}], []):
+            cfg = write_config(tmp_path, {"schema": 1, "g1": 2.0, "g3": 2.0,
+                                          "script": script})
+            with pytest.raises(SystemExit) as exc:
+                main(["memory", "--config", cfg, "--seed", "-1"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--seed" in captured.err
 
     def test_seed_belongs_to_memory_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1,
@@ -718,8 +746,8 @@ SCATTER_CONFIGS = {
 
 
 class TestCommandRows:
-    """memory and scatter hand the writer numpy columns; their bytes are
-    those of the row form they replaced."""
+    """The commands hand the writer columns; their bytes are those of the
+    row form they replaced."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("seed", range(6))
@@ -751,19 +779,43 @@ class TestCommandRows:
                      "--format", fmt, "--out", str(out)]) == 0
         assert out.read_text() == reference_text(rows, fmt)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("checks", [None, ["transfer_matrix",
+                                               "corrupted_self_test",
+                                               "resolvent_closed"]])
+    def test_verify_matches_row_form(self, tmp_path, capsys, fmt, checks):
+        # the default suite passes; a selection holding the corrupted
+        # self-test fails, with exit 1 and the same table
+        config = {"schema": 1} if checks is None else {"schema": 1,
+                                                       "checks": checks}
+        rows = [{"name": r.name, "max_residual": r.max_residual,
+                 "tolerance": r.tolerance, "grid": r.grid,
+                 "passed": r.passed} for r in verify.run_suite(checks)]
+        assert run(capsys, ["verify", "--config",
+                            write_config(tmp_path, config), "--format",
+                            fmt]) == (0 if checks is None else 1,
+                                      reference_text(rows, fmt))
+
     def test_commands_skip_the_pure_python_encoder(self, tmp_path,
                                                    monkeypatch):
-        # json's indented encoder runs in pure Python, value by value;
-        # memory and scatter tables never reach it, templates included
+        # json's indented encoder runs in pure Python, value by value; no
+        # command's table reaches it, templates included
         for cache in (cli._nested, cli._template, cli._plan_shape):
             cache.cache_clear()
         monkeypatch.setattr(json.encoder, "_make_iterencode", mock.Mock(
             side_effect=AssertionError("the pure-Python encoder ran")))
         with pytest.raises(AssertionError):     # the patch is in force
-            cli._table_text([{"plan": [1.0]}], "json")
+            json.dumps([[1.0]], indent=2)
         memory = {"schema": 1, "g1": 1.7, "g3": -2.3,
                   "script": random_script(np.random.default_rng(7))}
-        for command, config in [("memory", memory)] + [
+        # the grid commands below and above the bulk writer's crossover
+        resolvent = GOLDEN["resolvent_pole"]
+        smatrix = GOLDEN["smatrix_signed_zero"]
+        long = {"start": 0.05, "stop": 7.0, "num": 2 * cli._BULK_ROWS}
+        for command, config in [
+                resolvent, ("resolvent", {**resolvent[1], "kappa_grid": long}),
+                smatrix, ("smatrix", {**smatrix[1], "k_grid": long}),
+                ("memory", memory), ("verify", {"schema": 1})] + [
                 ("scatter", c) for c in SCATTER_CONFIGS.values()]:
             for fmt in ("json", "csv"):
                 assert main([command, "--config",
@@ -806,13 +858,6 @@ class TestOutput:
         assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.dictionaries(KEYS, JSON_VALUES, min_size=1),
-                         max_size=6),
-           fmt=st.sampled_from(["json", "csv"]))
-    def test_row_tables_match_reference(self, rows, fmt):
-        assert cli._table_text(rows, fmt) == reference_text(rows, fmt)
-
-    @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5),
            fmt=st.sampled_from(["json", "csv"]), bulk=st.booleans())
     def test_array_tables_match_reference(self, data, n, fmt, bulk):
@@ -820,17 +865,17 @@ class TestOutput:
         # values, and a complex number is an [re, im] pair.  A column may
         # skip rows by a present mask (every row, none or some), or give
         # each row a JSON shape its floats fill, beside list columns of
-        # JSON values; written by the % fill or, as large tables of plain
-        # arrays are, in byte blocks
-        columns, cells = {}, {}     # each row's value, or _ABSENT
+        # one JSON scalar per row; written by the % fill or, as large
+        # tables of plain arrays are, in byte blocks
+        absent = object()
+        columns, cells = {}, {}     # each row's value, or absent
         for key in data.draw(st.lists(KEYS, min_size=1, max_size=4,
                                       unique=True)):
             kind = data.draw(st.sampled_from(
                 ["float", "complex", "bool", "shaped", "list"]))
             if kind == "list":
                 columns[key] = cells[key] = data.draw(st.lists(
-                    JSON_VALUES | st.just(cli._ABSENT), min_size=n,
-                    max_size=n))
+                    SCALARS, min_size=n, max_size=n))
                 continue
             if kind == "shaped":
                 shapes = data.draw(st.lists(st.none() | SHAPES, min_size=n,
@@ -851,7 +896,7 @@ class TestOutput:
             if kind == "shaped":
                 columns[key] = array, [s if s is None else json.dumps(s)
                                        for s in shapes]
-                cells[key] = [cli._ABSENT if s is None else
+                cells[key] = [absent if s is None else
                               fill_floats(s, iter(row))
                               for s, row in zip(shapes, rows)]
                 continue
@@ -861,11 +906,11 @@ class TestOutput:
             if present is None:
                 columns[key], cells[key] = array, rows
             else:
-                columns[key] = array, np.array(present)
-                cells[key] = [row if p else cli._ABSENT
+                columns[key] = array, present
+                cells[key] = [row if p else absent
                               for row, p in zip(rows, present)]
         rows = [{key: column[i] for key, column in cells.items()
-                 if column[i] is not cli._ABSENT} for i in range(n)]
+                 if column[i] is not absent} for i in range(n)]
         # csv lists the keys in order of first appearance
         order = dict.fromkeys([key for row in rows for key in row]
                               + list(columns))
