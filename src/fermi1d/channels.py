@@ -14,10 +14,11 @@ convention of the single-channel closed forms (the opposite choice is
 its mirror image).  Each site's matching rows give its S-matrix, and
 the array's is their Redheffer star product, joined pairwise in
 ceil(log2 m) levels batched over sites and wavenumbers: O(n^3 m) time
-per wavenumber, and no interior segment coefficients.  A join inverts
-the round-trip matrix I - r'_a r_b of two sub-arrays, dimensionless
-and singular exactly when a mode is trapped between them, so the guard
-on it depends on no unit or scale.
+per wavenumber.  One channel takes the sites from pointcore's closed
+form and joins them elementwise, with no LAPACK or BLAS call.  A join
+inverts the round-trip matrix I - r'_a r_b of two sub-arrays,
+dimensionless and singular exactly when a mode is trapped between
+them, so its guard depends on no unit or scale.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularSystem
-from .pointcore import spectral_points
+from .pointcore import _s_entries, spectral_points
 
 __all__ = [
     "MatrixCouplings",
@@ -264,6 +265,15 @@ def _site_s_matrices(sites: SiteArray, k: np.ndarray):
     return -np.linalg.solve(m_out, m_in), bad
 
 
+def _site_s_scalars(sites: SiteArray, k: np.ndarray):
+    """n = 1: pointcore's closed form per (k, site), r and r' by e^{+-2ikx}."""
+    s, bad = _s_entries(*sites.couplings[:, :, 0, 0].real, k[:, None])
+    phase = np.exp(2j * k[:, None] * sites.positions)
+    s[..., 1, 0] *= phase
+    s[..., 0, 1] *= phase.conj()
+    return s, bad
+
+
 def _star(a: np.ndarray, b: np.ndarray):
     """Star products of stacked S-matrices [[t, r'], [r, t']] of adjacent
     sub-arrays, a on the left, and the mask of the pairs whose round-trip
@@ -292,6 +302,18 @@ def _star(a: np.ndarray, b: np.ndarray):
     return np.concatenate([top, bottom], axis=-2), bad
 
 
+def _star_scalars(a: np.ndarray, b: np.ndarray):
+    """`_star` for n = 1, elementwise: T = t_b t_a / (1 - r'_a r_b) etc.,
+    and its guard, as the 1 x 1 round trip's sigma_min is its modulus."""
+    (ta, rpa), (ra, tpa) = a.transpose(2, 3, 0, 1)
+    (tb, rpb), (rb, tpb) = b.transpose(2, 3, 0, 1)
+    trip = 1.0 - rpa * rb
+    bad = ~np.isfinite(trip) | (abs(trip) < _ROUND_TRIP_LIMIT)
+    s = np.array([[tb * ta / trip, rpb + tb * rpa * tpb / trip],
+                  [ra + tpa * rb * ta / trip, tpa * tpb / trip]])
+    return s.transpose(2, 3, 0, 1), bad
+
+
 def full_s_matrix_grid(sites: SiteArray, k) -> tuple[np.ndarray, np.ndarray]:
     """S-matrices of the array at every point of a k array: s, shape
     k.shape + (2n, 2n) in the basis of `full_s_matrix`, and the mask of
@@ -300,12 +322,14 @@ def full_s_matrix_grid(sites: SiteArray, k) -> tuple[np.ndarray, np.ndarray]:
     finite (an overflow).  s is NaN there."""
     k = np.asarray(spectral_points(k))
     flat = k.reshape(-1)
+    site_s, star = ((_site_s_scalars, _star_scalars) if sites.n == 1
+                    else (_site_s_matrices, _star))
     with np.errstate(all="ignore"):
-        s, bad = _site_s_matrices(sites, flat)
+        s, bad = site_s(sites, flat)
         singular = bad.any(axis=1)
         while s.shape[1] > 1:
             pairs = s.shape[1] // 2
-            joined, bad = _star(s[:, 0:2 * pairs:2], s[:, 1:2 * pairs:2])
+            joined, bad = star(s[:, 0:2 * pairs:2], s[:, 1:2 * pairs:2])
             singular |= bad.any(axis=1)
             s = np.concatenate([joined, s[:, 2 * pairs:]], axis=1)
         s = s[:, 0] if len(sites) else np.eye(2) + 0j * flat[:, None, None]

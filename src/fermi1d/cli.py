@@ -53,6 +53,13 @@ def _number(value):
     return value
 
 
+def _known_keys(spec: dict, known: frozenset) -> None:
+    """Raise ValueError naming the first key of spec, in sorted order,
+    that is not in known."""
+    if not spec.keys() <= known:
+        raise ValueError(f"unknown key {min(spec.keys() - known)!r}")
+
+
 def _grid(config: dict, key: str) -> np.ndarray:
     """A positive, non-empty grid: an explicit list or a linspace spec."""
     if key not in config:
@@ -60,6 +67,7 @@ def _grid(config: dict, key: str) -> np.ndarray:
     spec = config[key]
     if isinstance(spec, dict):
         try:
+            _known_keys(spec, frozenset(("start", "stop", "num")))
             grid = np.linspace(float(_number(spec["start"])),
                                float(_number(spec["stop"])),
                                int(_number(spec["num"])))
@@ -127,10 +135,15 @@ def cmd_smatrix(config: dict) -> dict:
             "unitarity_residual": unit}
 
 
+_SCALAR_KEYS, _MATRIX_KEYS = ("g1", "g2", "g3"), ("c1", "c2", "c3")
+_SITE_KEYS = frozenset(("position", *_SCALAR_KEYS, *_MATRIX_KEYS))
+
+
 def _site_array(config: dict) -> channels.SiteArray:
     """The `sites` of a config in one pass: matrices c1..c3, or scalars
     g1..g3 (0 if absent) as 1 x 1 matrices, stacked for the array to
-    check at once.  An error in one site names its index."""
+    check at once.  An error in one site names its index, and so does
+    a key of neither kind, or of both."""
     raw = config.get("sites")
     if not isinstance(raw, list):
         raise ConfigError("'sites' must be a list")
@@ -138,13 +151,18 @@ def _site_array(config: dict) -> channels.SiteArray:
     for i, entry in enumerate(raw):
         try:
             positions.append(float(_number(entry["position"])))
-            if "c1" not in entry:
+            _known_keys(entry, _SITE_KEYS)
+            if entry.keys().isdisjoint(_MATRIX_KEYS):
                 sites.append([[[float(_number(entry.get(g, 0.0)))]]
-                              for g in ("g1", "g2", "g3")])
+                              for g in _SCALAR_KEYS])
                 continue
+            if not entry.keys().isdisjoint(_SCALAR_KEYS):
+                raise ValueError(
+                    f"key {min(entry.keys() & set(_MATRIX_KEYS))!r} cannot "
+                    f"go with {min(entry.keys() & set(_SCALAR_KEYS))!r}")
             site = [np.array(_number(entry[c]), dtype=complex)
-                    for c in ("c1", "c2", "c3")]
-            for c, m in zip(("c1", "c2", "c3"), site):
+                    for c in _MATRIX_KEYS]
+            for c, m in zip(_MATRIX_KEYS, site):
                 if m.ndim != 2 or m.shape[0] != m.shape[1]:
                     raise ValueError(f"{c} must be a square matrix")
             if not site[0].shape == site[1].shape == site[2].shape:

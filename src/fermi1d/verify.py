@@ -259,7 +259,7 @@ def default_suite() -> dict:
             functools.partial(pointcore.resolvent_from_couplings, g),
             np.linspace(0.4, 8.0, 25))
             for g in [(1.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-1.5, 0.7, 2.2)]])
-        return ResidualReport("ode_system", worst,
+        return ResidualReport("ode", worst,
                               "3 coupling triples, kappa in [0.4, 8]",
                               1e-6)
 

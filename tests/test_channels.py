@@ -264,6 +264,51 @@ class TestGuard:
             channels.full_s_matrix(arr, 1e300)
 
 
+class TestOneChannel:
+    def test_matches_decoupled_channels_of_the_matrix_cascade(self):
+        # Two one-channel arrays at the same positions, each in one
+        # channel of a diagonal two-channel array, C_j = diag(g_j of a,
+        # g_j of b): the matrix cascade, with its solves per site and per
+        # join, is an oracle that the elementwise path shares no step
+        # with.  The second case puts a Dirichlet box in one channel.
+        rng = np.random.default_rng(41)
+        cases = []
+        for m in (1, 2, 7, 30):
+            positions = np.cumsum(rng.uniform(0.3, 1.2, m))
+            g = rng.uniform(-2.0, 2.0, (2, 3, m)) * [[1.0], [0.5], [0.3]]
+            cases.append((positions, g))
+        box = np.zeros((2, 3, 2))
+        box[0] = rng.uniform(-1.0, 1.0, (3, 2))
+        box[1, 1] = (2.0, -2.0)
+        cases.append((np.array([0.0, 1.0]), box))
+        ks = np.array([0.3, 1.1, 2.7, math.pi, 5.0, 2.0 * math.pi])
+        for positions, g in cases:
+            m = len(positions)
+            diagonal = np.zeros((3, m, 2, 2))
+            diagonal[..., 0, 0], diagonal[..., 1, 1] = g
+            s2, singular2 = channels.full_s_matrix_grid(
+                SiteArray.from_arrays(positions, diagonal), ks)
+            with pytest.MonkeyPatch.context() as patch:
+                for name in ("solve", "svd", "slogdet"):
+                    patch.setattr(np.linalg, name, _forbidden)
+                ones = [channels.full_s_matrix_grid(SiteArray.from_arrays(
+                    positions, g_j[..., None, None]), ks) for g_j in g]
+            assert singular2.tolist() == (ones[0][1] | ones[1][1]).tolist()
+            for j, (s1, singular1) in enumerate(ones):
+                np.testing.assert_allclose(s2[~singular2, j::2, j::2],
+                                           s1[~singular2], rtol=0,
+                                           atol=1e-12)
+                assert np.isnan(s1[singular1]).all()
+        # the box traps modes at k = pi and 2 pi in its channel only
+        assert not ones[0][1].any()
+        assert ones[1][1].tolist() == [False, False, False, True, False,
+                                       True]
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the one-channel path calls no LAPACK routine")
+
+
 class TestTwoChannels:
     def test_parity_blocks_match_memory_site(self):
         # C1 = g1 sigma_1, C3 = g3 sigma_3: the quantum-memory site

@@ -425,6 +425,27 @@ class TestScatter:
         assert main(["scatter", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("sites, k_grid, message", [
+        ([{"position": 0.0, "g1": 2.0, "g9": "x"}], [1.0],
+         "site 0: unknown key 'g9'"),
+        ([{"position": 0.0, "g1": 2.0}, {"position": 1.0, "G1": 2.0}],
+         [1.0], "site 1: unknown key 'G1'"),
+        ([{"position": 0.0, "g2": 0.5, "c1": [[1.0]], "c2": [[0.0]],
+           "c3": [[0.0]]}], [1.0], "site 0: key 'c1' cannot go with 'g2'"),
+        ([{"position": 0.0, "g1": 2.0}],
+         {"start": 1.0, "stop": 2.0, "num": 3, "extra": 1},
+         "bad grid spec for 'k_grid': unknown key 'extra'")],
+        ids=["misspelt_g", "capital_g", "g_and_c", "linspace_extra"])
+    def test_unknown_keys_are_config_errors(self, tmp_path, capsys, sites,
+                                            k_grid, message):
+        # a misspelt key used to run as a different array with exit 0
+        cfg = write_config(tmp_path, {"schema": 1, "sites": sites,
+                                      "k_grid": k_grid})
+        assert main(["scatter", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("mode", ["left", "right", "even", "odd"])
     def test_multichannel_rows_match_single_solves(self, tmp_path, capsys,
@@ -1006,6 +1027,24 @@ class TestOutput:
         command, config = GOLDEN[name]
         argv = [command, "--config", write_config(tmp_path, config)]
         assert run_child(argv, "Prescott") == run_child(argv)
+
+    @pytest.mark.skipif(not dynamic_openblas(),
+                        reason="needs an x86_64 DYNAMIC_ARCH OpenBLAS")
+    def test_one_channel_scatter_bytes_do_not_depend_on_blas_kernel(
+            self, tmp_path):
+        # One channel takes its sites from pointcore's closed form and
+        # joins them elementwise, with no BLAS or LAPACK call: the
+        # README's three-site config prints the default kernel's bytes
+        # under a kernel without FMA (Prescott) and an AVX2 one (Haswell).
+        cfg = write_config(tmp_path, {
+            "schema": 1, "mode": "odd", "k_grid": [0.3, 0.9, 1.7, 2.6, 5],
+            "sites": [{"position": 0.0, "g1": 1.3},
+                      {"position": 0.7, "g1": -0.5, "g3": 0.4},
+                      {"position": 1.9, "g2": 0.8, "g3": 1.1}]})
+        argv = ["scatter", "--config", cfg]
+        default = run_child(argv)
+        for coretype in ("Prescott", "Haswell"):
+            assert run_child(argv, coretype) == default, coretype
 
     def test_missing_config_file(self, tmp_path, capsys):
         # a missing file, and one that is not UTF-8

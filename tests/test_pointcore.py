@@ -396,6 +396,8 @@ class TestGridKernels:
             pointcore.resolvent_from_couplings(g, 1e-320)
         with pytest.raises(ValueError, match="not finite at k = 1e-320"):
             pointcore.s_matrix_grid(g, [1.0, 1e-320])
+        with pytest.raises(ValueError, match="not finite at k = 1e-320$"):
+            pointcore.s_matrix(g, 1e-320)
         with pytest.raises(ValueError):
             pointcore.resolvent_grid(g, [1.0, 0.0])
 

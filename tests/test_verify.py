@@ -244,6 +244,11 @@ class TestSuite:
         ) == "0 []\n"
         assert out.read_text()
 
+    def test_report_names_are_suite_keys(self):
+        # the printed name is the one a config's "checks" selects
+        for key in verify.default_suite():
+            assert verify.run_suite([key])[0].name == key
+
     def test_corrupted_self_test_fails(self):
         report = verify.default_suite()["corrupted_self_test"]()
         assert not report.passed
