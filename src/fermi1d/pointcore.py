@@ -362,8 +362,6 @@ def _csub(a, b):
 
 def _cdiv(a, b):
     by_re = abs(b[0]) >= abs(b[1])
-    if type(by_re) is bool:        # Python floats: CPython's own division
-        return (q := complex(*a) / complex(*b)).real, q.imag
     ratio = np.where(by_re, b[1] / b[0], b[0] / b[1])
     den = np.where(by_re, b[0] + b[1] * ratio, b[0] * ratio + b[1])
     return (np.where(by_re, a[0] + a[1] * ratio, a[0] * ratio + a[1]) / den,
@@ -373,15 +371,15 @@ def _cdiv(a, b):
 def _s_entries(g1, g2, g3, k):
     """S++ = S-- = ((4 + g1 g3 - g2^2)/2)/d, S+-, S-+ = (i g3 k -/+ 2 g2 -
     i g1/k)/d, d = i g3 k + (4 - g1 g3 + g2^2)/2 + i g1/k, from (re, im)
-    pairs at couplings and k that broadcast, arrays or Python floats, as
-    shape + (2, 2) complex, and where the sum (|S_ij| <= 1) is not finite."""
+    pairs at array couplings and k that broadcast, as shape + (2, 2)
+    complex, and where the sum (|S_ij| <= 1) is not finite."""
     ik3 = _cmul(_cmul((0.0, 1.0), (g3, 0.0)), (k, 0.0))
     ik1 = _cdiv(_cmul((0.0, 1.0), (g1, 0.0)), (k, 0.0))
     d = _cadd(_cadd(ik3, (0.5 * (4.0 - g1 * g3 + g2 ** 2), 0.0)), ik1)
     diag = _cdiv((0.5 * (4.0 + g1 * g3 - g2 ** 2), 0.0), d)
     e = (*diag, *_cdiv(_csub(_csub(ik3, (2.0 * g2, 0.0)), ik1), d),
          *_cdiv(_csub(_cadd(ik3, (2.0 * g2, 0.0)), ik1), d), *diag)
-    s = np.empty(getattr(diag[0], "shape", ()) + (8,))
+    s = np.empty(np.shape(diag[0]) + (8,))
     for j, x in enumerate(e):
         s[..., j] = x
     return s.view(complex).reshape(s.shape[:-1] + (2, 2)), ~np.isfinite(sum(e))
@@ -391,13 +389,10 @@ def s_matrix_grid(g, k) -> np.ndarray:
     """`_s_entries` at every point of a k array, shape k.shape + (2, 2), equal
     to Python complex arithmetic.  Raises ValueError if one is not finite."""
     g = _as_couplings(g)
-    k = spectral_points(k)
-    if type(k) is float:            # Python floats raise no numpy warning
+    k = np.asarray(spectral_points(k))
+    with np.errstate(all="ignore"):
         s, bad = _s_entries(g.g1, g.g2, g.g3, k)
-    else:
-        with np.errstate(all="ignore"):
-            s, bad = _s_entries(g.g1, g.g2, g.g3, k)
-    bad = np.asarray(k)[bad]
+    bad = k[bad]
     if bad.size:
         raise ValueError(f"S-matrix is not finite at k = {float(bad[0])!r}")
     return s
