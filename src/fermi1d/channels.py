@@ -11,14 +11,15 @@ and at each site the pairing rules give the matching conditions
 where psi_bar and psi_bar' are the means of the one-sided values and
 (regularized) one-sided derivatives; the C2 signs fix the orientation
 convention of the single-channel closed forms (the opposite choice is
-its mirror image).  Each site's matching rows give its S-matrix, and
-the array's is their Redheffer star product, joined pairwise in
-ceil(log2 m) levels batched over sites and wavenumbers: O(n^3 m) time
-per wavenumber.  One channel takes the sites from pointcore's closed
-form and joins them elementwise, with no LAPACK or BLAS call.  A join
-inverts the round-trip matrix I - r'_a r_b of two sub-arrays,
-dimensionless and singular exactly when a mode is trapped between
-them, so its guard depends on no unit or scale.
+its mirror image).  Each site's matching rows give its S-matrix at its
+own origin, placed at x_t by multiplying r by e^{2ikx_t} and r' by
+e^{-2ikx_t}, and the array's is their Redheffer star product, joined
+pairwise in ceil(log2 m) levels batched over sites and wavenumbers:
+O(n^3 m) time per wavenumber.  One channel takes the sites from
+pointcore's closed form and joins them elementwise, with no LAPACK or
+BLAS call.  A join inverts the round-trip matrix I - r'_a r_b of two
+sub-arrays, dimensionless and singular exactly when a mode is trapped
+between them, so its guard depends on no unit or scale.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ class ScatteringSolution:
         or for a stack of them, shape k.shape + (2n, 2n)."""
         n = s.shape[-1] // 2
         pins = incident.pins(n)
-        out = s @ pins
+        out = (s * pins).sum(axis=-1)
         prob = np.abs(out) ** 2
         return cls(incident.k, out[..., n:], out[..., :n], prob[..., n:],
                    prob[..., :n],
@@ -236,33 +237,34 @@ class ScatteringSolution:
 def _site_s_matrices(sites: SiteArray, k: np.ndarray):
     """Every site's S-matrix at every k of a 1-d array, (len(k), m, 2n,
     2n), and the mask of the (k, site) pairs it cannot solve.  Site t
-    joins segments t and t+1: its rows M_out [A_t+1; B_t] +
-    M_in [A_t; B_t+1] = 0 give S_t = -M_out^-1 M_in."""
+    joins segments t and t+1: at its own origin, its rows M_out [A_t+1;
+    B_t] + M_in [A_t; B_t+1] = 0 give S = -M_out^-1 M_in, and the shift
+    to x_t multiplies r by e^{2ikx_t} and r' by e^{-2ikx_t}."""
     n = sites.n
-    eye = np.eye(n)
     c1, c2, c3 = sites.couplings
-    ep = np.exp(1j * k[:, None] * sites.positions)[..., None, None]
-    ikp = 1j * k[:, None, None, None] * ep
-
-    def jump_and_mean(e, de):
-        # the column of the plane wave e, of derivative de, in the rows
-        # Delta psi + C2 psi_bar + C3 psi_bar' = 0 over Delta psi' -
-        # C1 psi_bar - C2 psi_bar' = 0: -jump + mean left of the site
-        return (np.concatenate([e * eye, de * eye], axis=-2),
-                np.concatenate([e * c2 + de * c3, -e * c1 - de * c2],
-                               axis=-2) / 2.0)
-
-    a_jump, a_mean = jump_and_mean(ep, ikp)
-    b_jump, b_mean = jump_and_mean(ep.conj(), ikp.conj())
-    block = np.concatenate([a_mean + a_jump, b_mean - b_jump,    # M_out
-                            a_mean - a_jump, b_mean + b_jump],   # M_in
-                           axis=-1)
-    m_out, m_in = block[..., :2 * n], block[..., 2 * n:]
-    # a non-finite entry, or an exact zero pivot that the solve rejects
-    bad = (~np.isfinite(block).all(axis=(-2, -1))
-           | (np.linalg.slogdet(m_out)[0] == 0))
-    block[bad] = np.eye(2 * n, 4 * n)
-    return -np.linalg.solve(m_out, m_in), bad
+    # rows Delta psi + C2 psi_bar + C3 psi_bar' = 0 over Delta psi' -
+    # C1 psi_bar - C2 psi_bar' = 0 at x = 0: the wave e^{+-ikx} has mean
+    # U +- ikV and right-minus-left jump J0 +- ikJ1 across the site
+    u = np.concatenate([c2, -c1], axis=-2) / 2.0
+    v = np.concatenate([c3, -c2], axis=-2) / 2.0
+    j0, j1 = np.eye(2 * n, n), np.eye(2 * n, n, -n)
+    x = np.concatenate([u + j0, u - j0, j0 - u, -u - j0], axis=-1)
+    y = np.concatenate([v + j1, j1 - v, j1 - v, v + j1], axis=-1)
+    block = (1j * k)[:, None, None, None] * y  # [M_out, -M_in] = X + ikY
+    block += x
+    m_out, rhs = block[..., :2 * n], block[..., 2 * n:]
+    # an overflow, or an exact zero pivot that makes the solve raise
+    bad = ~np.isfinite(block).all(axis=(-2, -1))
+    try:
+        s = np.linalg.solve(m_out, rhs)
+    except np.linalg.LinAlgError:
+        bad |= np.linalg.slogdet(m_out)[0] == 0
+        block[bad] = np.eye(2 * n, 4 * n)
+        s = np.linalg.solve(m_out, rhs)
+    phase = np.exp(2j * k[:, None] * sites.positions)[..., None, None]
+    s[..., n:, :n] *= phase
+    s[..., :n, n:] *= phase.conj()
+    return s, bad
 
 
 def _site_s_scalars(sites: SiteArray, k: np.ndarray):
@@ -281,25 +283,28 @@ def _star(a: np.ndarray, b: np.ndarray):
     n = a.shape[-1] // 2
     lo, hi = slice(None, n), slice(n, None)
     ta, rpa, ra, tpa = (a[..., i, j] for i in (lo, hi) for j in (lo, hi))
-    tb, rpb, rb, tpb = (b[..., i, j] for i in (lo, hi) for j in (lo, hi))
-    loop = rpa @ rb
+    rhs = rpa @ b[..., hi, :]  # r'_a [r_b, t'_b]
+    loop = rhs[..., lo]
     bad = ~np.isfinite(loop).all(axis=(-2, -1))
-    loop[bad] = 0.0
+    if bad.any():
+        loop[bad] = 0.0
     trip = np.eye(n) - loop
     # sigma_min(I - P) >= 1 - |P|_F: an SVD only where that bound fails
     near = np.linalg.norm(loop, axis=(-2, -1)) > 1.0 - _ROUND_TRIP_LIMIT
-    bad[near] = (np.linalg.svd(trip[near], compute_uv=False)[:, -1]
-                 < _ROUND_TRIP_LIMIT)
-    trip[bad] = np.eye(n)
+    if near.any():
+        bad[near] = (np.linalg.svd(trip[near], compute_uv=False)[:, -1]
+                     < _ROUND_TRIP_LIMIT)
+    if bad.any():
+        trip[bad] = np.eye(n)
+    rhs[..., lo] = ta
     # the waves between a and b: A_mid = w, B_mid = v per [A_left, B_right]
-    w = np.linalg.solve(trip, np.concatenate([ta, rpa @ tpb], axis=-1))
-    v = rb @ w
-    v[..., n:] += tpb
-    top = tb @ w  # A_right = t_b A_mid + r'_b B_right
-    top[..., n:] += rpb
-    bottom = tpa @ v  # B_left = r_a A_left + t'_a B_mid
-    bottom[..., :n] += ra
-    return np.concatenate([top, bottom], axis=-2), bad
+    w = np.linalg.solve(trip, rhs)
+    s = b[..., lo] @ w  # [t_b w; r_b w]
+    s[..., hi, hi] += b[..., hi, hi]  # v = r_b w + [0, t'_b]
+    s[..., hi, :] = tpa @ s[..., hi, :]  # B_left = t'_a v + r_a A_left
+    s[..., hi, lo] += ra
+    s[..., lo, hi] += b[..., lo, hi]  # A_right = t_b w + r'_b B_right
+    return s, bad
 
 
 def _star_scalars(a: np.ndarray, b: np.ndarray):
@@ -332,7 +337,8 @@ def full_s_matrix_grid(sites: SiteArray, k) -> tuple[np.ndarray, np.ndarray]:
             joined, bad = star(s[:, 0:2 * pairs:2], s[:, 1:2 * pairs:2])
             singular |= bad.any(axis=1)
             s = np.concatenate([joined, s[:, 2 * pairs:]], axis=1)
-        s = s[:, 0] if len(sites) else np.eye(2) + 0j * flat[:, None, None]
+        s = (s[:, 0] if len(sites)
+             else np.eye(2 * sites.n) + 0j * flat[:, None, None])
         singular |= ~np.isfinite(s).all(axis=(-2, -1))
     s[singular] = np.nan
     return s.reshape(k.shape + s.shape[1:]), singular.reshape(k.shape)

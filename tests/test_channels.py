@@ -143,6 +143,12 @@ class TestSingleSite:
         arr = SiteArray([])
         np.testing.assert_allclose(channels.full_s_matrix(arr, 1.0),
                                    np.eye(2), atol=1e-15)
+        # an empty array keeps its channel count: 2n x 2n identities
+        s, singular = channels.full_s_matrix_grid(
+            SiteArray.from_arrays([], np.zeros((3, 0, 2, 2))), [1.0, 2.0])
+        assert s.shape == (2, 4, 4)
+        np.testing.assert_array_equal(s, [np.eye(4)] * 2)
+        assert not singular.any()
 
     def test_flux_conservation(self):
         arr = SiteArray([scalar_site(1.0, 2.0, 3.0)])
@@ -223,15 +229,21 @@ class TestMultiSite:
                         s[n:, col], sol.outgoing_left, atol=1e-13)
 
     def test_matches_dense_matching_system(self):
-        # an oracle the cascade was not derived from: one global system
+        # an oracle the cascade was not derived from: one global system,
+        # also with the array shifted far from the origin, where each
+        # site is still solved at its own origin
         rng = np.random.default_rng(31)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for m in (1, 2, 7, 30):
                 arr = complex_hermitian_array(rng, m, n)
-                for k in (0.4, 1.3, 3.1):
-                    np.testing.assert_allclose(
-                        channels.full_s_matrix(arr, k),
-                        dense_matching_s_matrix(arr, k), rtol=0, atol=1e-12)
+                shifted = SiteArray.from_arrays(arr.positions + 1e3,
+                                                arr.couplings)
+                for sites in (arr, shifted):
+                    for k in (0.4, 1.3, 3.1):
+                        np.testing.assert_allclose(
+                            channels.full_s_matrix(sites, k),
+                            dense_matching_s_matrix(sites, k),
+                            rtol=0, atol=1e-12)
 
 
 class TestGuard:
@@ -262,6 +274,41 @@ class TestGuard:
                          scalar_site(g1=1.0, position=1.0)])
         with pytest.raises(SingularSystem):
             channels.full_s_matrix(arr, 1e300)
+
+    def test_two_channel_overflow_is_singular(self):
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        arr = SiteArray([(0.0, MatrixCouplings(zero, zero, 1e200 * eye)),
+                         (1.0, MatrixCouplings(eye, zero, zero))])
+        with pytest.raises(SingularSystem):
+            channels.full_s_matrix(arr, 1e300)
+
+    def test_exact_zero_pivot_masks_only_its_site(self):
+        # C1 = C2 = C3 = 2^60 in channel 0 of the middle site: the +-1 of
+        # its jumps rounds away, so two rows of M_out are equal up to
+        # sign at every k, and the site solve meets an exact zero pivot.
+        # The sites around it are solved as they are alone.
+        rng = np.random.default_rng(8)
+        couplings = rng.normal(size=(3, 3, 2, 2))
+        couplings = (couplings + couplings.swapaxes(-2, -1)) / 2.0
+        couplings[:, 1] = np.diag([2.0 ** 60, 0.5])
+        positions = np.array([0.0, 1.0, 2.5])
+        ks = np.array([0.5, 1.0, 2.0])
+        arr = SiteArray.from_arrays(positions, couplings)
+        slogdet = np.linalg.slogdet
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "slogdet",
+                          lambda a: calls.append(a.shape) or slogdet(a))
+            s, bad = channels._site_s_matrices(arr, ks)
+        assert calls == [(3, 3, 4, 4)]
+        assert bad.tolist() == [[False, True, False]] * 3
+        for t in (0, 2):
+            alone, _ = channels._site_s_matrices(SiteArray.from_arrays(
+                positions[t:t + 1], couplings[:, t:t + 1]), ks)
+            np.testing.assert_allclose(s[:, t], alone[:, 0], rtol=0,
+                                       atol=1e-15)
+        s, singular = channels.full_s_matrix_grid(arr, ks)
+        assert singular.all() and np.isnan(s).all()
 
 
 class TestOneChannel:
@@ -306,7 +353,55 @@ class TestOneChannel:
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("the one-channel path calls no LAPACK routine")
+    raise AssertionError("a LAPACK routine this path must not call")
+
+
+class TestFastPath:
+    """The n >= 2 cascade calls slogdet only when a site solve fails and
+    the SVD only where the bound sigma_min(I - P) >= 1 - |P|_F fails."""
+
+    def test_well_posed_arrays_skip_slogdet(self):
+        rng = np.random.default_rng(51)
+        ks = np.array([0.3, 1.1, 2.7, 5.0])
+        for n in (2, 4):
+            for m in (1, 2, 7, 30):
+                arr = complex_hermitian_array(rng, m, n)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(np.linalg, "slogdet", _forbidden)
+                    s, singular = channels.full_s_matrix_grid(arr, ks)
+                assert not singular.any()
+                np.testing.assert_allclose(
+                    s @ s.conj().swapaxes(-2, -1),
+                    [np.eye(2 * n)] * len(ks), atol=1e-12)
+
+    def test_weak_round_trips_skip_svd(self):
+        rng = np.random.default_rng(52)
+        ks = np.array([0.3, 1.1, 2.7, 5.0])
+        star = channels._star
+        largest = []
+
+        def checked_star(a, b):
+            n = a.shape[-1] // 2
+            loop = a[..., :n, n:] @ b[..., n:, :n]
+            largest.append(np.linalg.norm(loop, axis=(-2, -1)).max())
+            return star(a, b)
+
+        for n in (2, 4):
+            for m in (2, 7, 30):
+                positions = np.cumsum(rng.uniform(0.3, 1.2, m))
+                couplings = 0.02 * rng.normal(size=(3, m, n, n))
+                couplings = couplings + couplings.swapaxes(-2, -1)
+                arr = SiteArray.from_arrays(positions, couplings)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(channels, "_star", checked_star)
+                    patch.setattr(np.linalg, "svd", _forbidden)
+                    s, singular = channels.full_s_matrix_grid(arr, ks)
+                assert not singular.any()
+                np.testing.assert_allclose(
+                    s @ s.conj().swapaxes(-2, -1),
+                    [np.eye(2 * n)] * len(ks), atol=1e-12)
+        # every join's |r'_a r_b|_F is below 1, where the bound suffices
+        assert 0.0 < max(largest) < 1.0
 
 
 class TestTwoChannels:

@@ -1032,12 +1032,15 @@ class TestOutput:
                         reason="needs an x86_64 DYNAMIC_ARCH OpenBLAS")
     def test_one_channel_scatter_bytes_do_not_depend_on_blas_kernel(
             self, tmp_path):
-        # One channel takes its sites from pointcore's closed form and
-        # joins them elementwise, with no BLAS or LAPACK call: the
-        # README's three-site config prints the default kernel's bytes
-        # under a kernel without FMA (Prescott) and an AVX2 one (Haswell).
+        # One channel takes its sites from pointcore's closed form, joins
+        # them elementwise and applies them to the incident amplitudes
+        # by an elementwise product and sum, with no BLAS or LAPACK call:
+        # the README's three-site config, with a complex amplitude,
+        # prints the default kernel's bytes under a kernel without FMA
+        # (Prescott) and an AVX2 one (Haswell).
         cfg = write_config(tmp_path, {
             "schema": 1, "mode": "odd", "k_grid": [0.3, 0.9, 1.7, 2.6, 5],
+            "amplitudes": [[0.6, 0.8]],
             "sites": [{"position": 0.0, "g1": 1.3},
                       {"position": 0.7, "g1": -0.5, "g3": 0.4},
                       {"position": 1.9, "g2": 0.8, "g3": 1.1}]})
